@@ -2,6 +2,9 @@ package ledger
 
 import (
 	"fmt"
+	"runtime"
+	"strconv"
+	"sync/atomic"
 	"testing"
 
 	"decoupling/internal/core"
@@ -72,4 +75,52 @@ func BenchmarkDeriveSystemEvidence(b *testing.B) {
 			b.Fatal("bad derivation")
 		}
 	}
+}
+
+// BenchmarkSawBatchParallel admits an ODoH-shaped stream from every
+// benchmark goroutine at once: per op, a proxy, a target and an origin
+// each admit one two-entry batch — a connection identity drawn from a
+// small shared pool, carrying shared connection handles, plus one
+// unique ciphertext value. The observers' shards and the intern table
+// are shared by all goroutines, so contention on either shows as ns/op.
+// B/obs is the live heap the admitted observations hold, measured after
+// a forced GC; allocs/op include building the unique value.
+func BenchmarkSawBatchParallel(b *testing.B) {
+	const conns = 16
+	observers := []string{"Proxy", "Target", "Origin"}
+	cls := NewClassifier()
+	addrs := make([]string, conns)
+	legs := make([][]string, conns)
+	for i := range addrs {
+		addrs[i] = fmt.Sprintf("10.0.%d.%d:443", i/256, i%256)
+		cls.RegisterIdentity(addrs[i], addrs[i], "", core.Sensitive)
+		legs[i] = []string{ConnHandle(addrs[i], "Proxy"), ConnHandle("Proxy", "Target")}
+	}
+	lg := New(cls, nil)
+	var next atomic.Uint64
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			n := next.Add(1)
+			c := int(n % conns)
+			for _, o := range observers {
+				lg.SawBatch(o, []Entry{
+					{Kind: core.Identity, Value: addrs[c], Handles: legs[c][:1]},
+					{Kind: core.Data, Value: "ciphertext:" + strconv.FormatUint(n, 16) + o, Handles: legs[c]},
+				})
+			}
+		}
+	})
+	b.StopTimer()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if obs := lg.Len(); obs > 0 {
+		b.ReportMetric(float64(int64(after.HeapAlloc)-int64(before.HeapAlloc))/float64(obs), "B/obs")
+	}
+	runtime.KeepAlive(lg)
 }

@@ -50,56 +50,11 @@ type SystemEvidence struct {
 }
 
 // DeriveTupleEvidence computes the same tuple as DeriveTuple but
-// returns, per component, the observations establishing it. The
-// component sequence (template axes first, then extras sorted by kind,
-// label, descending level) is guaranteed to match DeriveTuple.
+// returns, per component, the observations establishing it. Both come
+// from one derivation, so the component sequence (template axes first,
+// then extras sorted by kind and label) always matches DeriveTuple.
 func (l *Ledger) DeriveTupleEvidence(observer string, template core.Tuple) []ComponentEvidence {
-	obs := l.ByObserver(observer)
-	maxLevel := map[axis]core.Level{}
-	byAxis := map[axis][]Observation{}
-	for _, o := range obs {
-		a := axis{o.Kind, o.Label}
-		if o.Level > maxLevel[a] {
-			maxLevel[a] = o.Level
-		}
-		byAxis[a] = append(byAxis[a], o)
-	}
-	supporting := func(a axis) []Observation {
-		var ev []Observation
-		for _, o := range byAxis[a] {
-			if o.Level == maxLevel[a] {
-				ev = append(ev, o)
-			}
-		}
-		return ev
-	}
-	covered := map[axis]bool{}
-	out := make([]ComponentEvidence, 0, len(template))
-	for _, c := range template {
-		a := axis{c.Kind, c.Label}
-		covered[a] = true
-		out = append(out, ComponentEvidence{
-			Component: core.Component{Kind: c.Kind, Label: c.Label, Level: maxLevel[a]},
-			Evidence:  supporting(a),
-			AxisTotal: len(byAxis[a]),
-		})
-	}
-	extras := make([]axis, 0)
-	for a, lvl := range maxLevel {
-		if !covered[a] && lvl > core.NonSensitive {
-			extras = append(extras, a)
-		}
-	}
-	sortExtras(extras, maxLevel)
-	for _, a := range extras {
-		out = append(out, ComponentEvidence{
-			Component: core.Component{Kind: a.kind, Label: a.label, Level: maxLevel[a]},
-			Extra:     true,
-			Evidence:  supporting(a),
-			AxisTotal: len(byAxis[a]),
-		})
-	}
-	return out
+	return l.derive(observer, template, true)
 }
 
 // LinkEvidenceFor returns, per distinct handle the entity holds (sorted

@@ -116,18 +116,25 @@ func TestExtrasOrderingDeterministic(t *testing.T) {
 	}
 }
 
-// TestSortExtrasLevelTieBreak exercises the comparator directly: if
-// two extras ever share (kind, label), the higher level sorts first.
-func TestSortExtrasLevelTieBreak(t *testing.T) {
+// TestFoldAxesUnique pins the invariant the extras order relies on:
+// every admission on a (kind, label) axis folds into the one axis entry,
+// whatever its level, so two extras never share a kind and label.
+func TestFoldAxesUnique(t *testing.T) {
 	t.Parallel()
-	a1 := axis{core.Data, "X"}
-	// Duplicate (kind, label) axes cannot occur via DeriveTuple's map
-	// today; the comparator still must order them by descending level.
-	extras := []axis{a1, {core.Data, "X"}}
-	levels := map[axis]core.Level{a1: core.Sensitive}
-	sortExtras(extras, levels)
-	if levels[extras[0]] != core.Sensitive {
-		t.Errorf("level tie-break: got %v first", levels[extras[0]])
+	cls := NewClassifier()
+	cls.RegisterData("x-partial", "alice", "X", core.Partial)
+	cls.RegisterData("x-full", "alice", "X", core.Sensitive)
+	lg := New(cls, nil)
+	lg.SawData("ent", "x-partial")
+	lg.SawData("ent", "x-full")
+	lg.SawData("ent", "x-partial")
+
+	got := lg.DeriveTupleEvidence("ent", nil)
+	if len(got) != 1 {
+		t.Fatalf("got %d components, want one folded X axis: %+v", len(got), got)
+	}
+	if c := got[0]; c.Component.Level != core.Sensitive || c.AxisTotal != 3 || len(c.Evidence) != 1 || !c.Extra {
+		t.Errorf("folded axis = %+v, want extra ● with 1 of 3 observations as evidence", c)
 	}
 }
 

@@ -20,6 +20,7 @@ package ledger
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -115,17 +116,6 @@ func (c *Classifier) classify(kind core.Kind, value string) (classEntry, bool) {
 	return classEntry{level: core.NonSensitive}, false
 }
 
-// shard holds one observer's append-only observation log. Each observer
-// gets its own lock, so concurrent observers never contend with each
-// other on the hot Saw path.
-type shard struct {
-	mu  sync.Mutex
-	obs []Observation
-	// obsCounter is the cached telemetry counter for this observer,
-	// nil when the ledger is uninstrumented (Counter.Add is nil-safe).
-	obsCounter *telemetry.Counter
-}
-
 // Ledger accumulates observations for one experiment run. The zero
 // value is not usable; construct with New. Ledger is safe for
 // concurrent use — real-loopback systems observe from handler
@@ -134,6 +124,7 @@ type shard struct {
 type Ledger struct {
 	classifier *Classifier
 	clock      func() time.Duration
+	strs       *interner
 
 	seq atomic.Uint64 // global admission counter, total order across shards
 
@@ -152,7 +143,7 @@ func New(c *Classifier, clock func() time.Duration) *Ledger {
 	if c == nil {
 		c = NewClassifier()
 	}
-	return &Ledger{classifier: c, clock: clock, shards: map[string]*shard{}}
+	return &Ledger{classifier: c, clock: clock, strs: newInterner(), shards: map[string]*shard{}}
 }
 
 // Classifier returns the bound classifier.
@@ -195,7 +186,7 @@ func (l *Ledger) shardFor(observer string) *shard {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if s = l.shards[observer]; s == nil {
-		s = &shard{}
+		s = &shard{name: observer, linked: map[uint32]struct{}{}}
 		if l.tel != nil {
 			s.obsCounter = observationCounter(l.tel, observer)
 		}
@@ -232,29 +223,7 @@ func (l *Ledger) lockAll() (map[string]*shard, func()) {
 // linkage handles. Classification (level, subject, axis label) comes
 // from the classifier, never from the protocol code.
 func (l *Ledger) Saw(observer string, kind core.Kind, value string, handles ...string) {
-	e, recognized := l.classifier.classify(kind, value)
-	o := Observation{
-		Observer:   observer,
-		Kind:       kind,
-		Label:      e.label,
-		Level:      e.level,
-		Subject:    e.subject,
-		Value:      value,
-		Handles:    append([]string(nil), handles...),
-		Recognized: recognized,
-	}
-	if l.clock != nil {
-		o.Time = l.clock()
-	}
-	if l.tel != nil { // one pointer check when uninstrumented
-		o.Phase = l.tel.CurrentPhase()
-	}
-	s := l.shardFor(observer)
-	s.mu.Lock()
-	o.seq = l.seq.Add(1)
-	s.obs = append(s.obs, o)
-	s.mu.Unlock()
-	s.obsCounter.Add(1) // nil-safe; nil unless instrumented
+	l.SawBatch(observer, []Entry{{Kind: kind, Value: value, Handles: handles}})
 }
 
 // Entry is one observation in a SawBatch: what a single protocol step
@@ -276,47 +245,50 @@ type Entry struct {
 // In a sequential run SawBatch assigns exactly the seq numbers the
 // equivalent consecutive Saw calls would, so audit goldens are
 // unaffected by converting call sites.
+//
+// Classification and interning happen before the shard lock is taken;
+// under it each entry becomes a compact record and is folded into the
+// shard's per-axis summary and handle set.
 func (l *Ledger) SawBatch(observer string, entries []Entry) {
 	if len(entries) == 0 {
 		return
 	}
-	obs := make([]Observation, len(entries))
-	for i, in := range entries {
-		e, recognized := l.classifier.classify(in.Kind, in.Value)
-		obs[i] = Observation{
-			Observer:   observer,
-			Kind:       in.Kind,
-			Label:      e.label,
-			Level:      e.level,
-			Subject:    e.subject,
-			Value:      in.Value,
-			Handles:    append([]string(nil), in.Handles...),
-			Recognized: recognized,
-		}
+	type pending struct {
+		rec  record
+		axis axis
+		nh   int
 	}
+	var pendBuf [4]pending
+	var idBuf [8]uint32
+	pend, ids := pendBuf[:0], idBuf[:0]
+	var r record
 	if l.clock != nil {
 		// One clock read for the batch: the entries describe a single
 		// protocol step, observed at a single instant.
-		t := l.clock()
-		for i := range obs {
-			obs[i].Time = t
-		}
+		r.time = l.clock()
 	}
-	if l.tel != nil {
-		phase := l.tel.CurrentPhase()
-		for i := range obs {
-			obs[i].Phase = phase
+	if l.tel != nil { // one pointer check when uninstrumented
+		r.phase = l.strs.id(l.tel.CurrentPhase())
+	}
+	for _, in := range entries {
+		e, recognized := l.classifier.classify(in.Kind, in.Value)
+		r.value, r.subject = l.strs.id(in.Value), l.strs.id(e.subject)
+		r.level, r.recognized = uint8(e.level), recognized
+		pend = append(pend, pending{rec: r, axis: axis{in.Kind, e.label}, nh: len(in.Handles)})
+		for _, h := range in.Handles {
+			ids = append(ids, l.strs.id(h))
 		}
 	}
 	s := l.shardFor(observer)
 	s.mu.Lock()
-	base := l.seq.Add(uint64(len(obs))) - uint64(len(obs))
-	for i := range obs {
-		obs[i].seq = base + uint64(i) + 1
+	base := l.seq.Add(uint64(len(pend))) - uint64(len(pend))
+	for i, p := range pend {
+		p.rec.seq = base + uint64(i) + 1
+		s.admit(p.rec, p.axis, ids[:p.nh])
+		ids = ids[p.nh:]
 	}
-	s.obs = append(s.obs, obs...)
 	s.mu.Unlock()
-	s.obsCounter.Add(uint64(len(obs))) // nil-safe; nil unless instrumented
+	s.obsCounter.Add(uint64(len(pend))) // nil-safe; nil unless instrumented
 }
 
 // SawIdentity is shorthand for Saw with core.Identity.
@@ -335,25 +307,30 @@ func (l *Ledger) Observations() []Observation {
 	shards, unlock := l.lockAll()
 	var out []Observation
 	for _, s := range shards {
-		out = append(out, s.obs...)
+		out = s.expandAll(l.strs, out)
 	}
 	unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].seq < out[j].seq })
 	return out
 }
 
+// shard returns the observer's shard, nil if it never observed.
+func (l *Ledger) shard(name string) *shard {
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	return l.shards[name]
+}
+
 // ByObserver returns the observations recorded by one entity, in the
 // order the entity recorded them.
 func (l *Ledger) ByObserver(name string) []Observation {
-	l.mu.RLock()
-	s := l.shards[name]
-	l.mu.RUnlock()
+	s := l.shard(name)
 	if s == nil {
 		return nil
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return append([]Observation(nil), s.obs...)
+	return s.expandAll(l.strs, nil)
 }
 
 // Len reports the number of recorded observations.
@@ -362,7 +339,7 @@ func (l *Ledger) Len() int {
 	defer unlock()
 	n := 0
 	for _, s := range shards {
-		n += len(s.obs)
+		n += s.recs.len()
 	}
 	return n
 }
@@ -395,33 +372,30 @@ func (l *Ledger) Stats() Stats {
 	sort.Strings(names)
 	for _, name := range names {
 		s := shards[name]
-		handles := map[string]bool{}
-		for _, o := range s.obs {
-			for _, h := range o.Handles {
-				handles[h] = true
-			}
-		}
 		st.Observers = append(st.Observers, ObserverStats{
 			Observer:     name,
-			Observations: len(s.obs),
-			Handles:      len(handles),
+			Observations: s.recs.len(),
+			Handles:      len(s.linked),
 		})
-		st.Total += len(s.obs)
+		st.Total += s.recs.len()
 	}
 	return st
 }
 
 // Handles returns the sorted distinct linkage handles an entity holds.
 func (l *Ledger) Handles(observer string) []string {
-	set := map[string]bool{}
-	for _, o := range l.ByObserver(observer) {
-		for _, h := range o.Handles {
-			set[h] = true
+	var ids []uint32
+	if s := l.shard(observer); s != nil {
+		s.mu.Lock()
+		ids = make([]uint32, 0, len(s.linked))
+		for h := range s.linked {
+			ids = append(ids, h)
 		}
+		s.mu.Unlock()
 	}
-	out := make([]string, 0, len(set))
-	for h := range set {
-		out = append(out, h)
+	out := make([]string, len(ids))
+	for i, h := range ids {
+		out[i] = l.strs.str(h)
 	}
 	sort.Strings(out)
 	return out
@@ -432,58 +406,78 @@ func (l *Ledger) Handles(observer string) []string {
 // level is the maximum observed on that axis (NonSensitive if the entity
 // saw nothing there). Observations of Sensitive or Partial level on axes
 // absent from the template are appended, so unexpected leaks surface as
-// extra components rather than vanishing.
+// extra components rather than vanishing. It is a projection of the
+// observer's admission-time fold, costing O(axes) however many
+// observations the entity admitted.
 func (l *Ledger) DeriveTuple(observer string, template core.Tuple) core.Tuple {
-	obs := l.ByObserver(observer)
-	maxLevel := map[axis]core.Level{}
-	for _, o := range obs {
-		a := axis{o.Kind, o.Label}
-		if o.Level > maxLevel[a] {
-			maxLevel[a] = o.Level
-		}
-	}
-	covered := map[axis]bool{}
-	out := make(core.Tuple, 0, len(template))
-	for _, c := range template {
-		a := axis{c.Kind, c.Label}
-		covered[a] = true
-		out = append(out, core.Component{Kind: c.Kind, Label: c.Label, Level: maxLevel[a]})
-	}
-	// Surface unexpected sensitive/partial knowledge.
-	extras := make([]axis, 0)
-	for a, lvl := range maxLevel {
-		if !covered[a] && lvl > core.NonSensitive {
-			extras = append(extras, a)
-		}
-	}
-	sortExtras(extras, maxLevel)
-	for _, a := range extras {
-		out = append(out, core.Component{Kind: a.kind, Label: a.label, Level: maxLevel[a]})
+	comps := l.derive(observer, template, false)
+	out := make(core.Tuple, len(comps))
+	for i, c := range comps {
+		out[i] = c.Component
 	}
 	return out
 }
 
-// axis is one knowledge-tuple axis: a (kind, label) pair.
-type axis struct {
-	kind  core.Kind
-	label string
-}
-
-// sortExtras orders the extra (off-template) axes deterministically:
-// by kind, then label, then descending level. Axes are unique per
-// (kind, label), so the level tie-break only matters as a defensive
-// guarantee that reports stay byte-stable should two extras ever share
-// a kind+label prefix after future axis refactors.
-func sortExtras(extras []axis, maxLevel map[axis]core.Level) {
-	sort.Slice(extras, func(i, j int) bool {
-		if extras[i].kind != extras[j].kind {
-			return extras[i].kind < extras[j].kind
+// derive is the one tuple derivation: template axes first, then the
+// off-template axes holding Sensitive or Partial knowledge, sorted by
+// kind then label. Levels and AxisTotal come from the shard's fold;
+// with evidence set, each component also lists the observations at its
+// level, in admission order.
+func (l *Ledger) derive(observer string, template core.Tuple, evidence bool) []ComponentEvidence {
+	var axes []axisFold
+	var support [][]Observation
+	if s := l.shard(observer); s != nil {
+		s.mu.Lock()
+		axes = append(axes, s.axes...)
+		if evidence {
+			support = make([][]Observation, len(axes))
+			var arena []string
+			for i := 0; i < s.recs.len(); i++ {
+				if r := s.recs.at(i); core.Level(r.level) == axes[r.axis].max {
+					support[r.axis] = append(support[r.axis], s.expand(l.strs, i, &arena))
+				}
+			}
 		}
-		if extras[i].label != extras[j].label {
-			return extras[i].label < extras[j].label
+		s.mu.Unlock()
+	}
+	out := make([]ComponentEvidence, 0, len(template))
+	add := func(k core.Kind, label string, i int, extra bool) {
+		c := ComponentEvidence{Component: core.Component{Kind: k, Label: label}, Extra: extra}
+		if i >= 0 {
+			c.Component.Level, c.AxisTotal = axes[i].max, axes[i].count
+			if evidence {
+				c.Evidence = support[i]
+			}
 		}
-		return maxLevel[extras[i]] > maxLevel[extras[j]]
+		out = append(out, c)
+	}
+	covered := make([]bool, len(axes))
+	for _, c := range template {
+		i := slices.IndexFunc(axes, func(f axisFold) bool { return f.axis == axis{c.Kind, c.Label} })
+		if i >= 0 {
+			covered[i] = true
+		}
+		add(c.Kind, c.Label, i, false)
+	}
+	// Surface unexpected sensitive/partial knowledge. Fold axes are
+	// unique per (kind, label), so kind then label is a total order.
+	var extras []int
+	for i, f := range axes {
+		if !covered[i] && f.max > core.NonSensitive {
+			extras = append(extras, i)
+		}
+	}
+	sort.Slice(extras, func(x, y int) bool {
+		a, b := axes[extras[x]], axes[extras[y]]
+		if a.kind != b.kind {
+			return a.kind < b.kind
+		}
+		return a.label < b.label
 	})
+	for _, i := range extras {
+		add(axes[i].kind, axes[i].label, i, true)
+	}
+	return out
 }
 
 // DeriveSystem builds a measured core.System shaped like expected: same

@@ -96,6 +96,25 @@ func TestConcurrentObserveMatchesSequential(t *testing.T) {
 			t.Fatalf("admission order violated at %d: %d >= %d", i, all[i-1].seq, all[i].seq)
 		}
 	}
+	// And it must hold, per observer, the same multiset of whole
+	// observations (every field but the interleaving-dependent seq).
+	if got, want := perObserver(all), perObserver(seq.Observations()); !reflect.DeepEqual(got, want) {
+		t.Errorf("Observations() contents diverged from the sequential run")
+	}
+}
+
+// perObserver buckets observations by observer as a multiset of their
+// fields, seq excluded.
+func perObserver(obs []Observation) map[string]map[string]int {
+	m := map[string]map[string]int{}
+	for _, o := range obs {
+		if m[o.Observer] == nil {
+			m[o.Observer] = map[string]int{}
+		}
+		o.seq = 0
+		m[o.Observer][fmt.Sprintf("%#v", o)]++
+	}
+	return m
 }
 
 func registerAll(c *Classifier, observers int) {

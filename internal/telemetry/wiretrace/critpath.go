@@ -2,6 +2,7 @@ package wiretrace
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 )
@@ -14,11 +15,12 @@ import (
 // so it lives here in analysis code, never in any single vantage.
 //
 // For each root-to-leaf chain the request's wall time decomposes into
-// alternating segments: time inside a span (a vantage handling the
-// message) and the gap between a parent ending and a child starting
-// (queueing — e.g. a mix batching — plus the wire). The dominant
-// segment is the critical hop: where this request actually spent its
-// latency.
+// segments: the self time of each span (a vantage handling the message,
+// minus the part of it a deeper chain span covers) and the gap between
+// a parent ending and a child starting (queueing — e.g. a mix batching
+// — plus the wire). The segments sum to the request's total, so the
+// dominant segment is the critical hop: where this request actually
+// spent its latency.
 
 // Segment is one leg of a request's critical path.
 type Segment struct {
@@ -30,9 +32,12 @@ type Segment struct {
 
 // Path is one stitched request chain.
 type Path struct {
-	Trace    string // root trace ID (request identifier for exemplars)
+	Trace string // root trace ID (request identifier for exemplars)
+	// Total runs from the root's start to the later of the root's and
+	// the leaf's end; Segments sum to it.
 	Total    time.Duration
 	Hops     int
+	Segments []Segment
 	Dominant Segment
 }
 
@@ -64,26 +69,10 @@ func Paths(stores []*Store) []Path {
 		}
 		chain := longestChain(root, children)
 		p := Path{Trace: root.Trace.String(), Hops: len(chain)}
-		last := chain[len(chain)-1]
-		end := last.End
-		if end < last.Start {
-			end = last.Start
-		}
-		p.Total = end - root.Start
-		for i, sp := range chain {
-			spanEnd := sp.End
-			if spanEnd < sp.Start {
-				spanEnd = sp.Start
-			}
-			seg := Segment{Label: sp.Vantage + "/" + sp.Name, Dur: spanEnd - sp.Start}
+		p.Segments, p.Total = segments(chain)
+		for _, seg := range p.Segments {
 			if seg.Dur > p.Dominant.Dur {
 				p.Dominant = seg
-			}
-			if i+1 < len(chain) {
-				next := chain[i+1]
-				if gap := next.Start - spanEnd; gap > p.Dominant.Dur {
-					p.Dominant = Segment{Label: sp.Vantage + " → " + next.Vantage, Dur: gap}
-				}
 			}
 		}
 		out = append(out, p)
@@ -95,6 +84,54 @@ func Paths(stores []*Store) []Path {
 		return out[i].Trace < out[j].Trace
 	})
 	return out
+}
+
+// segments attributes every instant from the root's start to the later
+// of the root's and the leaf's end to exactly one segment: the deepest
+// chain span open at that instant, or, where none is open, the gap
+// before the next span to start, labelled "parent → child". Spans come
+// in chain order, each preceded by its nonzero incoming gap; the
+// segments sum to the returned total.
+func segments(chain []*Span) ([]Segment, time.Duration) {
+	end := func(sp *Span) time.Duration { return max(sp.End, sp.Start) }
+	root, leaf := chain[0], chain[len(chain)-1]
+	from, to := root.Start, max(end(root), end(leaf))
+	cuts := []time.Duration{from, to}
+	for _, sp := range chain {
+		cuts = append(cuts, sp.Start, end(sp))
+	}
+	slices.Sort(cuts)
+	cuts = slices.Compact(cuts)
+	self := make([]time.Duration, len(chain))
+	gap := make([]time.Duration, len(chain)) // gap[i] precedes chain[i]
+	for k := 0; k+1 < len(cuts); k++ {
+		a, b := cuts[k], cuts[k+1]
+		if a < from || b > to {
+			continue
+		}
+		owner := -1
+		for i, sp := range chain {
+			if sp.Start <= a && end(sp) >= b {
+				owner = i
+			}
+		}
+		if owner >= 0 {
+			self[owner] += b - a
+			continue
+		}
+		// Uncovered instants lie after the root ends and before the
+		// leaf starts, so a later chain span always starts after them.
+		next := slices.IndexFunc(chain, func(sp *Span) bool { return sp.Start >= b })
+		gap[next] += b - a
+	}
+	var segs []Segment
+	for i, sp := range chain {
+		if gap[i] > 0 {
+			segs = append(segs, Segment{Label: chain[i-1].Vantage + " → " + sp.Vantage, Dur: gap[i]})
+		}
+		segs = append(segs, Segment{Label: sp.Vantage + "/" + sp.Name, Dur: self[i]})
+	}
+	return segs, to - from
 }
 
 // longestChain walks from root to the leaf with the latest end time.

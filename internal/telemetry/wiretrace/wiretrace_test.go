@@ -3,6 +3,7 @@ package wiretrace
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -297,6 +298,55 @@ func TestCheckInvariants(t *testing.T) {
 	}
 }
 
+// TestCriticalPathNested: an enclosing client root span must be scored
+// by its self time, not its inclusive duration, and the segments must
+// add up to the request's total.
+func TestCriticalPathNested(t *testing.T) {
+	p := New(ModeRotate, 9)
+	// Root 0–20ms encloses child 2–15ms, which encloses leaf 4–12ms.
+	ms := time.Millisecond
+	times := []time.Duration{0, 2 * ms, 4 * ms, 12 * ms, 15 * ms, 20 * ms}
+	i := 0
+	p.SetClock(func() time.Duration { t := times[i]; i++; return t })
+
+	root := p.Hop(ClientVantage, "query", Context{}, "client", "Proxy")
+	child := p.Hop("Proxy", "forward", root.Context(), "client", "Target")
+	leaf := p.Hop("Target", "answer", child.Forward(), "Proxy", "")
+	leaf.End()
+	child.End()
+	root.End()
+
+	paths := Paths(p.Stores())
+	if len(paths) != 1 {
+		t.Fatalf("stitched %d paths, want 1", len(paths))
+	}
+	pt := paths[0]
+	if pt.Total != 20*ms {
+		t.Errorf("total = %v, want 20ms (root start to root end)", pt.Total)
+	}
+	var sum time.Duration
+	for _, seg := range pt.Segments {
+		sum += seg.Dur
+	}
+	if sum != pt.Total {
+		t.Errorf("segments %+v sum to %v, want total %v", pt.Segments, sum, pt.Total)
+	}
+	if pt.Dominant.Dur > pt.Total {
+		t.Errorf("dominant %v exceeds total %v", pt.Dominant.Dur, pt.Total)
+	}
+	want := []Segment{
+		{ClientVantage + "/query", 7 * ms},
+		{"Proxy/forward", 5 * ms},
+		{"Target/answer", 8 * ms},
+	}
+	if !reflect.DeepEqual(pt.Segments, want) {
+		t.Errorf("segments = %+v, want %+v", pt.Segments, want)
+	}
+	if pt.Dominant != want[2] {
+		t.Errorf("dominant = %+v, want the leaf's 8ms", pt.Dominant)
+	}
+}
+
 func TestCriticalPath(t *testing.T) {
 	p := New(ModeRotate, 9)
 	// Hand-placed timestamps: client 0–1ms, hop 2–3ms, deliver 9–10ms.
@@ -323,6 +373,13 @@ func TestCriticalPath(t *testing.T) {
 	}
 	if pt.Total != 10*time.Millisecond {
 		t.Errorf("total = %v, want 10ms", pt.Total)
+	}
+	var segSum time.Duration
+	for _, seg := range pt.Segments {
+		segSum += seg.Dur
+	}
+	if segSum != pt.Total {
+		t.Errorf("segments %+v sum to %v, want %v", pt.Segments, segSum, pt.Total)
 	}
 	if pt.Dominant.Label != "Mix 1 → Receiver" || pt.Dominant.Dur != 6*time.Millisecond {
 		t.Errorf("dominant = %+v, want Mix 1 → Receiver 6ms", pt.Dominant)
