@@ -102,38 +102,44 @@ func TestNoArgsUsage(t *testing.T) {
 	}
 }
 
-// TestAuditGolden pins the audit report bytes for the ODoH scenario and
-// proves they are identical across -parallel settings: fresh HPKE keys,
-// fresh connection handles, and different goroutine interleavings per
-// invocation must not change a single byte. Refresh with: go test
+// TestAuditGolden pins the audit report bytes for the ODoH and mix-net
+// scenarios and proves they are identical across -parallel settings:
+// fresh HPKE keys, fresh connection handles, and different goroutine
+// interleavings per invocation must not change a single byte. The
+// mix-net audit covers LINKED chains and a multi-partition coalition
+// graph; the ODoH audit has neither. Refresh with: go test
 // ./cmd/decouple -run TestAuditGolden -update
 func TestAuditGolden(t *testing.T) {
-	goldenPath := filepath.Join("testdata", "audit_odoh.golden")
-	base, code := runOut(t, "audit", "-parallel", "1", "odoh")
-	if code != 0 {
-		t.Fatalf("audit exit = %d", code)
-	}
-	if *update {
-		if err := os.WriteFile(goldenPath, []byte(base), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	golden, err := os.ReadFile(goldenPath)
-	if err != nil {
-		t.Fatalf("read golden (run with -update to create): %v", err)
-	}
-	if base != string(golden) {
-		t.Errorf("audit odoh output differs from golden:\n%s", firstDiffLine(string(golden), base))
-	}
-	for _, parallel := range []string{"4", "8"} {
-		out, code := runOut(t, "audit", "-parallel", parallel, "odoh")
-		if code != 0 {
-			t.Fatalf("audit -parallel %s exit = %d", parallel, code)
-		}
-		if out != base {
-			t.Errorf("audit odoh -parallel %s differs from -parallel 1:\n%s",
-				parallel, firstDiffLine(base, out))
-		}
+	for _, system := range []string{"odoh", "mixnet"} {
+		t.Run(system, func(t *testing.T) {
+			goldenPath := filepath.Join("testdata", "audit_"+system+".golden")
+			base, code := runOut(t, "audit", "-parallel", "1", system)
+			if code != 0 {
+				t.Fatalf("audit exit = %d", code)
+			}
+			if *update {
+				if err := os.WriteFile(goldenPath, []byte(base), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			golden, err := os.ReadFile(goldenPath)
+			if err != nil {
+				t.Fatalf("read golden (run with -update to create): %v", err)
+			}
+			if base != string(golden) {
+				t.Errorf("audit %s output differs from golden:\n%s", system, firstDiffLine(string(golden), base))
+			}
+			for _, parallel := range []string{"4", "8"} {
+				out, code := runOut(t, "audit", "-parallel", parallel, system)
+				if code != 0 {
+					t.Fatalf("audit -parallel %s exit = %d", parallel, code)
+				}
+				if out != base {
+					t.Errorf("audit %s -parallel %s differs from -parallel 1:\n%s",
+						system, parallel, firstDiffLine(base, out))
+				}
+			}
+		})
 	}
 }
 
