@@ -144,15 +144,15 @@ func (r *Relay) handle(conn net.Conn) {
 		return
 	}
 	if req.Method != http.MethodConnect {
-		fmt.Fprintf(conn, "HTTP/1.1 405 Method Not Allowed\r\n\r\n")
 		r.reject()
+		fmt.Fprintf(conn, "HTTP/1.1 405 Method Not Allowed\r\n\r\n")
 		return
 	}
 	if r.Validate != nil {
 		tok := strings.TrimPrefix(req.Header.Get("Proxy-Authorization"), "PrivateToken ")
 		if err := r.Validate(tok); err != nil {
-			fmt.Fprintf(conn, "HTTP/1.1 407 Proxy Authentication Required\r\n\r\n")
 			r.reject()
+			fmt.Fprintf(conn, "HTTP/1.1 407 Proxy Authentication Required\r\n\r\n")
 			return
 		}
 	}
@@ -163,8 +163,8 @@ func (r *Relay) handle(conn net.Conn) {
 	}
 	upstream, err := dialer.Dial("tcp", target)
 	if err != nil {
-		fmt.Fprintf(conn, "HTTP/1.1 502 Bad Gateway\r\n\r\n")
 		r.reject()
+		fmt.Fprintf(conn, "HTTP/1.1 502 Bad Gateway\r\n\r\n")
 		return
 	}
 	defer upstream.Close()
@@ -207,6 +207,8 @@ func (r *Relay) handle(conn net.Conn) {
 	<-done
 }
 
+// reject counts a refused CONNECT. Callers count before writing the
+// refusal, so a client that has read it also sees it in Rejected.
 func (r *Relay) reject() {
 	r.mu.Lock()
 	r.rejected++
