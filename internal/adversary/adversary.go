@@ -15,149 +15,7 @@ import (
 	"math"
 	"sort"
 	"time"
-
-	"decoupling/internal/core"
-	"decoupling/internal/ledger"
 )
-
-// LinkResult reports whether a coalition can tie one subject's sensitive
-// identity to their sensitive data.
-type LinkResult struct {
-	Subject       string
-	IdentityValue string
-	DataValue     string
-	Linked        bool
-	// Path is the union-find merge path proving the link: the minimal
-	// chain of coalition observations, each sharing a handle with the
-	// next, from a sensitive identity observation of the subject to a
-	// sensitive (or partial) data observation. Populated only by
-	// LinkSubjectsEvidence; nil from the fast LinkSubjects.
-	Path []Hop
-}
-
-// Hop is one step of a linkage evidence chain: an observation (an
-// index into the slice passed to LinkSubjectsEvidence) and the handle
-// it shares with the next hop's observation ("" on the final hop).
-type Hop struct {
-	Obs    int
-	Handle string
-}
-
-// unionFind is a tiny string-keyed disjoint-set.
-type unionFind struct {
-	parent map[string]string
-}
-
-func newUnionFind() *unionFind { return &unionFind{parent: map[string]string{}} }
-
-func (u *unionFind) find(x string) string {
-	p, ok := u.parent[x]
-	if !ok {
-		u.parent[x] = x
-		return x
-	}
-	if p == x {
-		return x
-	}
-	root := u.find(p)
-	u.parent[x] = root
-	return root
-}
-
-func (u *unionFind) union(a, b string) { u.parent[u.find(a)] = u.find(b) }
-
-// LinkSubjects runs the coalition linkage attack: given all recorded
-// observations and the names of colluding entities, it determines for
-// each subject whether the coalition can connect a sensitive identity
-// observation to a sensitive (or partial) data observation through a
-// chain of shared linkage handles. Records that share no handle are two
-// unrelated rows even inside one entity's database: a VPN couples its
-// clients because both sides of a session carry the same session
-// handle, not merely because both rows sit on the same disk.
-func LinkSubjects(obs []ledger.Observation, coalition []string) []LinkResult {
-	members := map[string]bool{}
-	for _, m := range coalition {
-		members[m] = true
-	}
-
-	uf := newUnionFind()
-	// Nodes: "obs:<i>" and "h:<handle>".
-	var pool []int
-	for i, o := range obs {
-		if !members[o.Observer] {
-			continue
-		}
-		pool = append(pool, i)
-		node := obsNode(i)
-		for _, h := range o.Handles {
-			uf.union(node, "h:"+h)
-		}
-	}
-
-	type side struct {
-		value string
-		node  string
-	}
-	idSides := map[string][]side{}
-	dataSides := map[string][]side{}
-	for _, i := range pool {
-		o := obs[i]
-		if o.Subject == "" {
-			continue
-		}
-		switch {
-		case o.Kind == core.Identity && o.Level == core.Sensitive:
-			idSides[o.Subject] = append(idSides[o.Subject], side{o.Value, obsNode(i)})
-		case o.Kind == core.Data && o.Level >= core.Partial:
-			dataSides[o.Subject] = append(dataSides[o.Subject], side{o.Value, obsNode(i)})
-		}
-	}
-
-	subjects := make([]string, 0, len(idSides))
-	for s := range idSides {
-		subjects = append(subjects, s)
-	}
-	sort.Strings(subjects)
-
-	var results []LinkResult
-	for _, s := range subjects {
-		r := LinkResult{Subject: s}
-		if len(idSides[s]) > 0 {
-			r.IdentityValue = idSides[s][0].value
-		}
-	outer:
-		for _, id := range idSides[s] {
-			for _, d := range dataSides[s] {
-				if uf.find(id.node) == uf.find(d.node) {
-					r.Linked = true
-					r.IdentityValue = id.value
-					r.DataValue = d.value
-					break outer
-				}
-			}
-		}
-		if !r.Linked && len(dataSides[s]) > 0 {
-			r.DataValue = dataSides[s][0].value
-		}
-		results = append(results, r)
-	}
-	return results
-}
-
-func obsNode(i int) string {
-	// Small manual itoa avoids fmt in the hot path.
-	if i == 0 {
-		return "obs:0"
-	}
-	var digits [20]byte
-	pos := len(digits)
-	for i > 0 {
-		pos--
-		digits[pos] = byte('0' + i%10)
-		i /= 10
-	}
-	return "obs:" + string(digits[pos:])
-}
 
 // LinkageRate returns the fraction of subjects the coalition linked.
 func LinkageRate(results []LinkResult) float64 {

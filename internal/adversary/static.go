@@ -8,11 +8,12 @@ import (
 )
 
 // This file is the static-analysis counterpart of the observation-graph
-// coalition machinery: where LinkSubjects unions concrete observations
-// over concrete handles after a run, CloseStatic unions *declared*
-// entities over *declared* handle classes before any run exists. The
-// two must agree on every scenario — the static closure is the bound
-// the measured partitions are checked against.
+// coalition machinery: where Partition groups concrete observations
+// over concrete handles after a run, CloseStatic groups *declared*
+// entities over *declared* handle classes before any run exists, with
+// the same components function. The two must agree on every scenario —
+// the static closure is the bound the measured partitions are checked
+// against.
 
 // StaticPartition is one connected component of the declared
 // entity/handle-class graph: the set of non-user entities that could
@@ -54,72 +55,30 @@ func CloseStatic(sys *core.System) (StaticClosure, error) {
 	}
 	cl := StaticClosure{Verdict: verdict}
 
-	var members []core.Entity
-	for _, e := range sys.Entities {
-		if !e.User {
-			members = append(members, e)
-		}
-	}
-	if len(members) == 0 {
-		return cl, nil
-	}
-
-	// Union-find over declared handle classes. Unlike the conservative
-	// measured-side rule, an entity with no declared handles forms its
-	// own partition: the schema explicitly asserts it shares no join
-	// key with anyone.
-	parent := make([]int, len(members))
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	byHandle := map[string][]int{}
-	for i, e := range members {
-		for _, h := range e.Links {
-			byHandle[h] = append(byHandle[h], i)
-		}
-	}
-	handleNames := make([]string, 0, len(byHandle))
-	for h := range byHandle {
-		handleNames = append(handleNames, h)
-	}
-	sort.Strings(handleNames)
-	for _, h := range handleNames {
-		owners := byHandle[h]
-		for i := 1; i < len(owners); i++ {
-			parent[find(owners[0])] = find(owners[i])
+	// Partition the non-user entities by declared handle classes. Unlike
+	// the conservative measured-side rule, an entity with no declared
+	// handles forms its own partition: the schema explicitly asserts it
+	// shares no join key with anyone.
+	ents := sys.Entities
+	comp, count := components(len(ents),
+		func(i int) bool { return !ents[i].User },
+		func(i int) []string { return ents[i].Links })
+	groups := make([][]int, count)
+	for i, c := range comp {
+		if c >= 0 {
+			groups[c] = append(groups[c], i)
 		}
 	}
 
-	groups := map[int][]int{}
-	for i := range members {
-		root := find(i)
-		groups[root] = append(groups[root], i)
-	}
-	roots := make([]int, 0, len(groups))
-	for r := range groups {
-		roots = append(roots, r)
-	}
-	// Deterministic partition order: by first member index.
-	sort.Slice(roots, func(a, b int) bool { return groups[roots[a]][0] < groups[roots[b]][0] })
-
-	for _, root := range roots {
-		idxs := groups[root]
+	for _, idxs := range groups {
 		p := StaticPartition{}
 		inPartition := map[string]bool{}
 		handles := map[string]bool{}
 		for _, i := range idxs {
-			p.Merged = p.Merged.Merge(members[i].Knows)
-			p.Entities = append(p.Entities, members[i].Name)
-			inPartition[members[i].Name] = true
-			for _, h := range members[i].Links {
+			p.Merged = p.Merged.Merge(ents[i].Knows)
+			p.Entities = append(p.Entities, ents[i].Name)
+			inPartition[ents[i].Name] = true
+			for _, h := range ents[i].Links {
 				handles[h] = true
 			}
 		}

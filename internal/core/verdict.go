@@ -97,6 +97,33 @@ func Analyze(s *System) (Verdict, error) {
 	return v, nil
 }
 
+// DisjointSet is an int-indexed union-find with path halving: the one
+// disjoint-set behind every coalition closure, from the per-coalition
+// check here to the observation-graph and static partitions in
+// internal/adversary.
+type DisjointSet []int
+
+// NewDisjointSet returns n singleton sets 0..n-1.
+func NewDisjointSet(n int) DisjointSet {
+	d := make(DisjointSet, n)
+	for i := range d {
+		d[i] = i
+	}
+	return d
+}
+
+// Find returns the representative of x's set.
+func (d DisjointSet) Find(x int) int {
+	for d[x] != x {
+		d[x] = d[d[x]]
+		x = d[x]
+	}
+	return x
+}
+
+// Union merges the sets holding a and b.
+func (d DisjointSet) Union(a, b int) { d[d.Find(a)] = d.Find(b) }
+
 func names(es []Entity) []string {
 	out := make([]string, len(es))
 	for i, e := range es {
@@ -147,26 +174,14 @@ func coalitionCoupled(s *System, members []Entity) bool {
 		return false
 	}
 	// Union-find over coalition members via shared handles.
-	parent := make([]int, len(members))
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	union := func(a, b int) { parent[find(a)] = find(b) }
+	d := NewDisjointSet(len(members))
 
 	handleOwners := map[string][]int{}
 	for i, e := range members {
 		if len(e.Links) == 0 {
 			// Conservatively linkable to all members.
 			for j := range members {
-				union(i, j)
+				d.Union(i, j)
 			}
 			continue
 		}
@@ -176,7 +191,7 @@ func coalitionCoupled(s *System, members []Entity) bool {
 	}
 	for _, owners := range handleOwners {
 		for i := 1; i < len(owners); i++ {
-			union(owners[0], owners[i])
+			d.Union(owners[0], owners[i])
 		}
 	}
 
@@ -199,7 +214,7 @@ func coalitionCoupled(s *System, members []Entity) bool {
 		}
 		for _, i := range idxs {
 			effective[i] = effective[i].Merge(Tuple{sec.Yields})
-			union(idxs[0], i)
+			d.Union(idxs[0], i)
 		}
 	}
 
@@ -212,7 +227,7 @@ func coalitionCoupled(s *System, members []Entity) bool {
 			if !effective[j].knowsSensitive(Data) {
 				continue
 			}
-			if find(i) == find(j) {
+			if d.Find(i) == d.Find(j) {
 				return true
 			}
 		}

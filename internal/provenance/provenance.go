@@ -102,8 +102,8 @@ type Edge struct {
 	Count  int    `json:"count"`
 }
 
-// Partition is one connected component of the coalition's bipartite
-// observation/handle graph — the unit that union-find merges. Coupled
+// Partition is one rendered adversary.Component: a connected component
+// of the coalition's bipartite observation/handle graph. Coupled
 // partitions contain both a sensitive identity and sensitive (or
 // partial) data of the same subject: each is one realized privacy
 // violation under full collusion.
@@ -190,7 +190,9 @@ func Derive(lg *ledger.Ledger, expected *core.System) (*Audit, error) {
 		a.Entities = append(a.Entities, ent)
 	}
 
-	for _, r := range adversary.LinkSubjectsEvidence(obs, a.Coalition) {
+	links := adversary.LinkSubjects(obs, a.Coalition)
+	adversary.Chains(obs, a.Coalition, links)
+	for _, r := range links {
 		sl := SubjectLink{Subject: r.Subject, Linked: r.Linked}
 		for _, hop := range r.Path {
 			sl.Chain = append(sl.Chain, ChainHop{Obs: hop.Obs + 1, Handle: alias[hop.Handle]})
@@ -398,105 +400,25 @@ func aliasNum(alias string) int {
 	return n
 }
 
-// partitions runs union-find over the coalition's bipartite
-// observation/handle graph — the same structure adversary.LinkSubjects
-// merges — and reports each connected component.
+// partitions renders each connected component of the coalition's
+// bipartite observation/handle graph — the partition
+// adversary.LinkSubjects decides verdicts from.
 func partitions(obs []ledger.Observation, coalition []string, alias map[string]string) []Partition {
-	members := map[string]bool{}
-	for _, m := range coalition {
-		members[m] = true
-	}
-
-	// Nodes 0..len(obs)-1 are observations; handle nodes follow.
-	handleNode := map[string]int{}
-	parent := make([]int, len(obs))
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	union := func(a, b int) { parent[find(a)] = find(b) }
-
-	inCoalition := make([]bool, len(obs))
-	for i, o := range obs {
-		if !members[o.Observer] {
-			continue
-		}
-		inCoalition[i] = true
-		for _, h := range o.Handles {
-			hn, ok := handleNode[h]
-			if !ok {
-				hn = len(parent)
-				handleNode[h] = hn
-				parent = append(parent, hn)
-			}
-			union(i, hn)
-		}
-	}
-
-	// Group coalition observations by root, ordered by first (lowest
-	// canonical id) member.
-	groupOf := map[int]int{}
-	var groups [][]int
-	for i := range obs {
-		if !inCoalition[i] {
-			continue
-		}
-		root := find(i)
-		gi, ok := groupOf[root]
-		if !ok {
-			gi = len(groups)
-			groupOf[root] = gi
-			groups = append(groups, nil)
-		}
-		groups[gi] = append(groups[gi], i)
-	}
-
 	var out []Partition
-	for gi, group := range groups {
-		p := Partition{ID: gi}
+	for id, c := range adversary.Partition(obs, coalition) {
+		p := Partition{ID: id, Coupled: c.Coupled, Subjects: c.Subjects}
 		entities := map[string]bool{}
-		idSubjects := map[string]bool{}
-		dataSubjects := map[string]bool{}
 		handleSet := map[string]bool{}
 		edgeCount := map[Edge]int{}
-		for _, i := range group {
+		for _, i := range c.Obs {
 			o := obs[i]
 			entities[o.Observer] = true
-			if o.Subject != "" {
-				switch {
-				case o.Kind == core.Identity && o.Level == core.Sensitive:
-					idSubjects[o.Subject] = true
-				case o.Kind == core.Data && o.Level >= core.Partial:
-					dataSubjects[o.Subject] = true
-				}
-			}
 			for _, h := range o.Handles {
 				ha := alias[h]
 				handleSet[ha] = true
 				edgeCount[Edge{Entity: o.Observer, Handle: ha}]++
 			}
 		}
-		subjects := map[string]bool{}
-		for s := range idSubjects {
-			subjects[s] = true
-			if dataSubjects[s] {
-				p.Coupled = true
-			}
-		}
-		for s := range dataSubjects {
-			subjects[s] = true
-		}
-		for s := range subjects {
-			p.Subjects = append(p.Subjects, s)
-		}
-		sort.Strings(p.Subjects)
 		for e := range entities {
 			p.Entities = append(p.Entities, e)
 		}
