@@ -438,7 +438,13 @@ func realMain() int {
 	var cls *ledger.Classifier
 	if *useLg {
 		cls = ledger.NewClassifier()
-		lg = ledger.New(cls, nil)
+		// Only the trace-plane audit reads raw observations; without it
+		// the fold keeps memory bounded however long the run.
+		if plane.Enabled() {
+			lg = ledger.NewRetaining(cls, nil)
+		} else {
+			lg = ledger.New(cls, nil)
+		}
 	}
 
 	obs.setPhase("odoh")

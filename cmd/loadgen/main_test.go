@@ -290,7 +290,7 @@ func TestChaosFailOpenConvicted(t *testing.T) {
 func runTracedLegs(t *testing.T, mode wiretrace.Mode) (*wiretrace.Plane, *ledger.Ledger) {
 	t.Helper()
 	cls := ledger.NewClassifier()
-	lg := ledger.New(cls, nil)
+	lg := ledger.NewRetaining(cls, nil)
 	obs := newLiveObs(telemetry.NewMetrics())
 	plane := wiretrace.New(mode, 1)
 	plane.SetHopSampling(true)

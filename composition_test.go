@@ -29,7 +29,7 @@ import (
 // who and what.
 func TestODoHThroughMPR(t *testing.T) {
 	cls := ledger.NewClassifier()
-	lg := ledger.New(cls, nil)
+	lg := ledger.NewRetaining(cls, nil)
 
 	// ODoH deployment (proxy as a plain-HTTP origin behind the relays).
 	zone := dns.NewZone("example.com")

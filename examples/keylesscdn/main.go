@@ -18,7 +18,7 @@ import (
 
 func main() {
 	cls := ledger.NewClassifier()
-	lg := ledger.New(cls, nil)
+	lg := ledger.NewRetaining(cls, nil)
 
 	vendor, err := tee.NewVendor("AcmeSilicon")
 	if err != nil {

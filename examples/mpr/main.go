@@ -16,7 +16,7 @@ import (
 
 func main() {
 	cls := ledger.NewClassifier()
-	lg := ledger.New(cls, nil)
+	lg := ledger.NewRetaining(cls, nil)
 
 	stack, err := mpr.NewStack(lg, nil)
 	if err != nil {

@@ -21,7 +21,7 @@ func buildODoHStyleLedger() *ledger.Ledger {
 	cls := ledger.NewClassifier()
 	cls.RegisterIdentity("10.0.0.7", "alice", "", core.Sensitive)
 	cls.RegisterData("secret.example.com.", "alice", "", core.Sensitive)
-	lg := ledger.New(cls, nil)
+	lg := ledger.NewRetaining(cls, nil)
 	leg := ledger.ConnHandle("proxy", "target", "txn1")
 	lg.SawIdentity("Proxy", "10.0.0.7", "client-leg")
 	lg.SawData("Proxy", "ciphertext-xyz", "client-leg", leg)
@@ -63,7 +63,7 @@ func TestLinkSubjectsBrokenChain(t *testing.T) {
 	cls := ledger.NewClassifier()
 	cls.RegisterIdentity("10.0.0.7", "alice", "", core.Sensitive)
 	cls.RegisterData("secret.example.com.", "alice", "", core.Sensitive)
-	lg := ledger.New(cls, nil)
+	lg := ledger.NewRetaining(cls, nil)
 	lg.SawIdentity("Signer", "10.0.0.7", "withdrawal-17")
 	lg.SawData("Verifier", "secret.example.com.", "deposit-93")
 	res := LinkSubjects(lg.Observations(), []string{"Signer", "Verifier"})
@@ -79,7 +79,7 @@ func TestSingleEntitySessionLinks(t *testing.T) {
 	cls := ledger.NewClassifier()
 	cls.RegisterIdentity("10.0.0.7", "alice", "", core.Sensitive)
 	cls.RegisterData("secret.example.com.", "alice", "", core.Sensitive)
-	lg := ledger.New(cls, nil)
+	lg := ledger.NewRetaining(cls, nil)
 	session := ledger.ConnHandle("10.0.0.7", "vpn")
 	lg.SawIdentity("VPN", "10.0.0.7", session)
 	lg.SawData("VPN", "secret.example.com.", session)
@@ -104,7 +104,7 @@ func TestPartialDataCountsForLinkage(t *testing.T) {
 	cls := ledger.NewClassifier()
 	cls.RegisterIdentity("10.0.0.7", "alice", "", core.Sensitive)
 	cls.RegisterData("example.com.", "alice", "", core.Partial)
-	lg := ledger.New(cls, nil)
+	lg := ledger.NewRetaining(cls, nil)
 	lg.SawIdentity("R1", "10.0.0.7", "conn")
 	lg.SawData("R2", "example.com.", "conn")
 	res := LinkSubjects(lg.Observations(), []string{"R1", "R2"})
@@ -115,7 +115,7 @@ func TestPartialDataCountsForLinkage(t *testing.T) {
 
 func TestMultiSubjectLinkage(t *testing.T) {
 	cls := ledger.NewClassifier()
-	lg := ledger.New(cls, nil)
+	lg := ledger.NewRetaining(cls, nil)
 	for i := 0; i < 10; i++ {
 		subj := fmt.Sprintf("user%d", i)
 		addr := fmt.Sprintf("10.0.0.%d", i)
@@ -238,7 +238,7 @@ func TestLinkageRateEmpty(t *testing.T) {
 
 func BenchmarkLinkSubjects(b *testing.B) {
 	cls := ledger.NewClassifier()
-	lg := ledger.New(cls, nil)
+	lg := ledger.NewRetaining(cls, nil)
 	for i := 0; i < 500; i++ {
 		subj := fmt.Sprintf("user%d", i)
 		addr := fmt.Sprintf("10.0.%d.%d", i/256, i%256)

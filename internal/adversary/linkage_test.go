@@ -16,7 +16,7 @@ import (
 // sometimes possible and sometimes not.
 func randomLedger(rng *rand.Rand, trial int) (*ledger.Ledger, []string) {
 	cls := ledger.NewClassifier()
-	lg := ledger.New(cls, nil)
+	lg := ledger.NewRetaining(cls, nil)
 	observers := []string{"A", "B", "C", "D"}
 	for i := 0; i < 40; i++ {
 		subj := fmt.Sprintf("s%d", rng.Intn(5))
@@ -303,7 +303,7 @@ func TestLinkEvidenceNoCollusion(t *testing.T) {
 	cls := ledger.NewClassifier()
 	cls.RegisterIdentity("alice-addr", "alice", "", core.Sensitive)
 	cls.RegisterData("alice-query", "alice", "", core.Sensitive)
-	lg := ledger.New(cls, nil)
+	lg := ledger.NewRetaining(cls, nil)
 	// Proxy holds the identity, server the data, joined via h-shared —
 	// but only when both collude.
 	lg.SawIdentity("Proxy", "alice-addr", "h-shared")
@@ -339,7 +339,7 @@ func TestLinkEvidenceSameObservation(t *testing.T) {
 	cls := ledger.NewClassifier()
 	cls.RegisterIdentity("10.0.0.1", "bob", "", core.Sensitive)
 	cls.RegisterData("http://x/secret", "bob", "", core.Sensitive)
-	lg := ledger.New(cls, nil)
+	lg := ledger.NewRetaining(cls, nil)
 	lg.SawIdentity("VPN", "10.0.0.1", "sess1")
 	lg.SawData("VPN", "http://x/secret", "sess1")
 	obs := lg.Observations()

@@ -138,7 +138,7 @@ func TestDecouplingTable(t *testing.T) {
 // the blinding leaves no shared handle between withdrawal and deposit.
 func TestUnlinkabilityUnderFullCollusion(t *testing.T) {
 	cls := ledger.NewClassifier()
-	lg := ledger.New(cls, nil)
+	lg := ledger.NewRetaining(cls, nil)
 	bank, err := NewBank(testKeyBits, lg)
 	if err != nil {
 		t.Fatal(err)

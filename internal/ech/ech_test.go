@@ -76,7 +76,7 @@ func TestNetworkViewChanges(t *testing.T) {
 		cls.RegisterIdentity("10.0.0.7", "alice", "", core.Sensitive)
 		cls.RegisterData("sni:private.example", "alice", "", core.Sensitive)
 		cls.RegisterData("GET /medical-records", "alice", "", core.Sensitive)
-		lg := ledger.New(cls, nil)
+		lg := ledger.NewRetaining(cls, nil)
 		srv, err := NewServer(lg)
 		if err != nil {
 			t.Fatal(err)

@@ -291,7 +291,7 @@ func onionChaosRun(ctx Ctx, retry bool) (delivered int, err error) {
 func odohChaosRun(ctx Ctx, rate float64, retry bool) (ok int, lg *ledger.Ledger, link *flakyLink, err error) {
 	tel := ctx.Tel
 	cls := ledger.NewClassifier()
-	lg = ledger.New(cls, nil)
+	lg = ledger.NewRetaining(cls, nil)
 	lg.Instrument(tel)
 	registerDNSGroundTruth(cls, auditDNSClients, odoh.ProxyName, odoh.TargetName, "Origin")
 
@@ -338,7 +338,7 @@ func odohChaosRun(ctx Ctx, rate float64, retry bool) (ok int, lg *ledger.Ledger,
 func odnsChaosRun(ctx Ctx, rate float64, retry bool) (ok int, lg *ledger.Ledger, link *flakyLink, err error) {
 	tel := ctx.Tel
 	cls := ledger.NewClassifier()
-	lg = ledger.New(cls, nil)
+	lg = ledger.NewRetaining(cls, nil)
 	lg.Instrument(tel)
 	registerDNSGroundTruth(cls, auditDNSClients, "Resolver", odns.ObliviousResolverName, "Origin")
 
@@ -514,7 +514,7 @@ func E15ChaosFailover(ctx Ctx) (*Result, error) {
 	}
 	for _, n := range []int{1, 2, 4} {
 		cls := ledger.NewClassifier()
-		lg := ledger.New(cls, nil)
+		lg := ledger.NewRetaining(cls, nil)
 		lg.Instrument(tel)
 		registerDNSGroundTruth(cls, auditDNSClients, odoh.ProxyName, odoh.TargetName, "Origin")
 		origin := &dns.AuthServer{Name: "Origin", Zones: []*dns.Zone{auditZone()}, Ledger: lg}
@@ -599,7 +599,7 @@ func E15ChaosFailover(ctx Ctx) (*Result, error) {
 func e16Run(ctx Ctx, mode resilience.Mode) (lg *ledger.Ledger, okHealthy, fallbacks, exhaustions int, err error) {
 	tel := ctx.Tel
 	cls := ledger.NewClassifier()
-	lg = ledger.New(cls, nil)
+	lg = ledger.NewRetaining(cls, nil)
 	lg.Instrument(tel)
 	registerDNSGroundTruth(cls, auditDNSClients, odoh.ProxyName, odoh.TargetName, "Origin")
 

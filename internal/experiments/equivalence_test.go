@@ -96,7 +96,7 @@ func TestTransportEquivalence(t *testing.T) {
 func equivalenceScenario(t *testing.T, net transport.Runner) *ledger.Ledger {
 	t.Helper()
 	cls := ledger.NewClassifier()
-	lg := ledger.New(cls, nil)
+	lg := ledger.NewRetaining(cls, nil)
 	var route []mixnet.NodeInfo
 	for i := 1; i <= 3; i++ {
 		addr := fmt.Sprintf("mix%d", i)

@@ -140,7 +140,7 @@ func forEachClient(parallel, clients int, fn func(i int) error) error {
 func runODoHScenario(ctx Ctx, parallel int) (*ledger.Ledger, error) {
 	tel := ctx.Tel
 	cls := ledger.NewClassifier()
-	lg := ledger.New(cls, nil)
+	lg := ledger.NewRetaining(cls, nil)
 	lg.Instrument(tel)
 	registerDNSGroundTruth(cls, auditDNSClients, odoh.ProxyName, odoh.TargetName, "Origin")
 
@@ -177,7 +177,7 @@ func runODoHScenario(ctx Ctx, parallel int) (*ledger.Ledger, error) {
 func runODNSScenario(ctx Ctx, parallel int) (*ledger.Ledger, error) {
 	tel := ctx.Tel
 	cls := ledger.NewClassifier()
-	lg := ledger.New(cls, nil)
+	lg := ledger.NewRetaining(cls, nil)
 	lg.Instrument(tel)
 	registerDNSGroundTruth(cls, auditDNSClients, "Resolver", odns.ObliviousResolverName, "Origin")
 
@@ -215,7 +215,7 @@ func runMixnetScenario(ctx Ctx, _ int) (*ledger.Ledger, error) {
 	defer net.Close()
 	net.Instrument(tel)
 	ctx.Wire.SetClock(net.Now)
-	lg := ledger.New(cls, net.Now)
+	lg := ledger.NewRetaining(cls, net.Now)
 	lg.Instrument(tel)
 
 	var route []mixnet.NodeInfo
@@ -300,7 +300,7 @@ func runODoHScenarioFaults(ctx Ctx, parallel int, plan *simnet.FaultPlan) (*ledg
 func odohFaultsRun(ctx Ctx, parallel, clients int, plan *simnet.FaultPlan, failOpen bool) (*ledger.Ledger, error) {
 	tel := ctx.Tel
 	cls := ledger.NewClassifier()
-	lg := ledger.New(cls, nil)
+	lg := ledger.NewRetaining(cls, nil)
 	lg.Instrument(tel)
 	registerDNSGroundTruth(cls, clients, odoh.ProxyName, odoh.TargetName, "Origin")
 
@@ -383,7 +383,7 @@ func runODNSScenarioFaults(ctx Ctx, _ int, plan *simnet.FaultPlan) (*ledger.Ledg
 func odnsFaultsRun(ctx Ctx, clients int, plan *simnet.FaultPlan) (*ledger.Ledger, error) {
 	tel := ctx.Tel
 	cls := ledger.NewClassifier()
-	lg := ledger.New(cls, nil)
+	lg := ledger.NewRetaining(cls, nil)
 	lg.Instrument(tel)
 	registerDNSGroundTruth(cls, clients, "Resolver", odns.ObliviousResolverName, "Origin")
 
@@ -448,7 +448,7 @@ func mixnetFaultsRun(ctx Ctx, senders int, plan *simnet.FaultPlan, strict bool) 
 	cls := ledger.NewClassifier()
 	net := ctx.NewNet(2)
 	net.Instrument(tel)
-	lg := ledger.New(cls, net.Now)
+	lg := ledger.NewRetaining(cls, net.Now)
 	lg.Instrument(tel)
 
 	var route []mixnet.NodeInfo

@@ -99,7 +99,7 @@ func onionRun(ctx Ctx, hops int) (time.Duration, int, time.Duration, error) {
 	phase := tel.Start("phase:hops", telemetry.A("hops", telemetry.Itoa(hops)))
 	defer phase.End()
 	cls := ledger.NewClassifier()
-	lg := ledger.New(cls, nil)
+	lg := ledger.NewRetaining(cls, nil)
 	lg.Instrument(tel)
 	net := ctx.NewNet(int64(hops))
 	net.Instrument(tel)

@@ -32,7 +32,7 @@ func E1DigitalCash(ctx Ctx) (*Result, error) {
 	tel := ctx.Tel
 	r := &Result{ID: "E1", Title: "Digital cash (blind signatures)", Section: "3.1.1"}
 	cls := ledger.NewClassifier()
-	lg := ledger.New(cls, nil)
+	lg := ledger.NewRetaining(cls, nil)
 	lg.Instrument(tel)
 	bank, err := digitalcash.NewBank(keyBits, lg)
 	if err != nil {
@@ -74,7 +74,7 @@ func E2Mixnet(ctx Ctx) (*Result, error) {
 	tel := ctx.Tel
 	r := &Result{ID: "E2", Title: "Mix-net (Figure 1)", Section: "3.1.2"}
 	cls := ledger.NewClassifier()
-	lg := ledger.New(cls, nil)
+	lg := ledger.NewRetaining(cls, nil)
 	lg.Instrument(tel)
 	net := ctx.NewRunner(2)
 	defer net.Close()
@@ -157,7 +157,7 @@ func E3PrivacyPass(ctx Ctx) (*Result, error) {
 	tel := ctx.Tel
 	r := &Result{ID: "E3", Title: "Privacy Pass (Figure 2)", Section: "3.2.1"}
 	cls := ledger.NewClassifier()
-	lg := ledger.New(cls, nil)
+	lg := ledger.NewRetaining(cls, nil)
 	lg.Instrument(tel)
 	issuer, err := privacypass.NewIssuer("issuer.example", keyBits, lg)
 	if err != nil {
@@ -261,7 +261,7 @@ func E5PGPP(ctx Ctx) (*Result, error) {
 	tel := ctx.Tel
 	r := &Result{ID: "E5", Title: "Pretty Good Phone Privacy", Section: "3.2.3"}
 	cls := ledger.NewClassifier()
-	lg := ledger.New(cls, nil)
+	lg := ledger.NewRetaining(cls, nil)
 	lg.Instrument(tel)
 	cfg := pgpp.DefaultSimConfig()
 	if _, err := pgpp.RunSim(cfg, lg); err != nil {
@@ -350,7 +350,7 @@ func E6MPR(ctx Ctx) (*Result, error) {
 	tel := ctx.Tel
 	r := &Result{ID: "E6", Title: "Multi-Party Relay", Section: "3.2.4"}
 	cls := ledger.NewClassifier()
-	lg := ledger.New(cls, nil)
+	lg := ledger.NewRetaining(cls, nil)
 	lg.Instrument(tel)
 
 	// Relay access is gated on real Privacy Pass tokens (the deployed
@@ -430,7 +430,7 @@ func E7PPM(ctx Ctx) (*Result, error) {
 	tel := ctx.Tel
 	r := &Result{ID: "E7", Title: "Private aggregate statistics (PPM/Prio)", Section: "3.2.5"}
 	cls := ledger.NewClassifier()
-	lg := ledger.New(cls, nil)
+	lg := ledger.NewRetaining(cls, nil)
 	lg.Instrument(tel)
 	task := ppm.Task{ID: "e7-sum", Type: ppm.TaskSum, Bits: 8}
 	sys := ppm.NewSystem(task, 2, lg)
@@ -474,7 +474,7 @@ func E8VPN(ctx Ctx) (*Result, error) {
 	tel := ctx.Tel
 	r := &Result{ID: "E8", Title: "Centralized VPN (cautionary tale)", Section: "3.3"}
 	cls := ledger.NewClassifier()
-	lg := ledger.New(cls, nil)
+	lg := ledger.NewRetaining(cls, nil)
 	lg.Instrument(tel)
 	srv := vpn.NewServer(lg)
 	vpnAddr, err := srv.Start()
@@ -533,7 +533,7 @@ func E9ECH(ctx Ctx) (*Result, error) {
 	tel := ctx.Tel
 	r := &Result{ID: "E9", Title: "TLS Encrypted ClientHello (cautionary tale)", Section: "3.3"}
 	cls := ledger.NewClassifier()
-	lg := ledger.New(cls, nil)
+	lg := ledger.NewRetaining(cls, nil)
 	lg.Instrument(tel)
 	srv, err := ech.NewServer(lg)
 	if err != nil {

@@ -18,7 +18,7 @@ func E13TEE(ctx Ctx) (*Result, error) {
 	tel := ctx.Tel
 	r := &Result{ID: "E13", Title: "TEEs as a decoupling mechanism (CACTI + Phoenix)", Section: "4.3"}
 	cls := ledger.NewClassifier()
-	lg := ledger.New(cls, nil)
+	lg := ledger.NewRetaining(cls, nil)
 	lg.Instrument(tel)
 
 	vendor, err := tee.NewVendor("AcmeSilicon")

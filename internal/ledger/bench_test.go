@@ -6,16 +6,17 @@ import (
 	"strconv"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"decoupling/internal/core"
 )
 
-// benchLedger populates a ledger shaped like a mid-size experiment:
-// `observers` entities, `per` observations each, two handles per
-// observation.
-func benchLedger(observers, per int) (*Ledger, *core.System) {
+// benchLedger populates a ledger built by newLedger shaped like a
+// mid-size experiment: `observers` entities, `per` observations each,
+// two handles per observation.
+func benchLedger(newLedger func(*Classifier, func() time.Duration) *Ledger, observers, per int) (*Ledger, *core.System) {
 	cls := NewClassifier()
-	lg := New(cls, nil)
+	lg := newLedger(cls, nil)
 	sys := &core.System{Name: "bench"}
 	sys.Entities = append(sys.Entities, core.Entity{
 		Name: "User", User: true, Knows: core.Tuple{core.SensID(), core.SensData()},
@@ -34,9 +35,9 @@ func benchLedger(observers, per int) (*Ledger, *core.System) {
 	return lg, sys
 }
 
-// BenchmarkSawUninstrumented pins the provenance-off hot path: with no
-// telemetry attached, Saw must pay exactly one nil pointer check for
-// the phase join (plus the pre-existing classify + shard append).
+// BenchmarkSawUninstrumented pins the default hot path: a fold-only
+// ledger with no telemetry attached pays the classify, the handle
+// interning and the shard fold, nothing more.
 func BenchmarkSawUninstrumented(b *testing.B) {
 	cls := NewClassifier()
 	cls.RegisterIdentity("alice", "alice", "", core.Sensitive)
@@ -53,7 +54,7 @@ func BenchmarkSawUninstrumented(b *testing.B) {
 // picked up provenance bookkeeping it should only do in the Evidence
 // variants.
 func BenchmarkDeriveSystem(b *testing.B) {
-	lg, sys := benchLedger(4, 256)
+	lg, sys := benchLedger(New, 4, 256)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -67,7 +68,7 @@ func BenchmarkDeriveSystem(b *testing.B) {
 // variant for comparison; it is allowed to cost more — it is run once
 // per audit, never on the reproduction hot path.
 func BenchmarkDeriveSystemEvidence(b *testing.B) {
-	lg, sys := benchLedger(4, 256)
+	lg, sys := benchLedger(NewRetaining, 4, 256)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -84,8 +85,15 @@ func BenchmarkDeriveSystemEvidence(b *testing.B) {
 // unique ciphertext value. The observers' shards and the intern table
 // are shared by all goroutines, so contention on either shows as ns/op.
 // B/obs is the live heap the admitted observations hold, measured after
-// a forced GC; allocs/op include building the unique value.
+// a forced GC; allocs/op include building the unique value. The fold
+// sub-benchmark runs the default fold-only ledger, retain the one that
+// also keeps the record log.
 func BenchmarkSawBatchParallel(b *testing.B) {
+	b.Run("fold", func(b *testing.B) { benchSawBatchParallel(b, New) })
+	b.Run("retain", func(b *testing.B) { benchSawBatchParallel(b, NewRetaining) })
+}
+
+func benchSawBatchParallel(b *testing.B, newLedger func(*Classifier, func() time.Duration) *Ledger) {
 	const conns = 16
 	observers := []string{"Proxy", "Target", "Origin"}
 	cls := NewClassifier()
@@ -96,7 +104,7 @@ func BenchmarkSawBatchParallel(b *testing.B) {
 		cls.RegisterIdentity(addrs[i], addrs[i], "", core.Sensitive)
 		legs[i] = []string{ConnHandle(addrs[i], "Proxy"), ConnHandle("Proxy", "Target")}
 	}
-	lg := New(cls, nil)
+	lg := newLedger(cls, nil)
 	var next atomic.Uint64
 
 	var before, after runtime.MemStats

@@ -110,6 +110,25 @@ func (r *refLedger) deriveEvidence(name string, template core.Tuple) []Component
 	return out
 }
 
+// deriveSystem is DeriveSystem by full scan: the user keeps its modeled
+// tuple, every other entity gets its derived tuple and handles.
+func (r *refLedger) deriveSystem(expected *core.System) *core.System {
+	out := &core.System{Name: expected.Name + " (measured)", Section: expected.Section,
+		SharedSecrets: expected.SharedSecrets, Notes: "derived from runtime observations"}
+	for _, e := range expected.Entities {
+		ne := core.Entity{Name: e.Name, User: e.User, Knows: e.Knows}
+		if !e.User {
+			ne.Knows = make(core.Tuple, 0, len(e.Knows))
+			for _, c := range r.deriveEvidence(e.Name, e.Knows) {
+				ne.Knows = append(ne.Knows, c.Component)
+			}
+			ne.Links = r.handles(e.Name)
+		}
+		out.Entities = append(out.Entities, ne)
+	}
+	return out
+}
+
 func (r *refLedger) linkEvidence(name string) []LinkEvidence {
 	byHandle := map[string][]Observation{}
 	for _, o := range r.byObserver(name) {
@@ -129,11 +148,12 @@ func (r *refLedger) linkEvidence(name string) []LinkEvidence {
 }
 
 // FuzzLedgerMatchesReference drives a seeded random stream of Saw and
-// SawBatch calls through the ledger and the naive reference, then
-// checks every read API agrees. Streams mix registered and unregistered
-// values, re-registration mid-stream (classification is fixed at
-// admission), empty and repeated handles, the clock on or off, and
-// telemetry phases on or off.
+// SawBatch calls through a retaining ledger, a fold-only ledger and the
+// naive reference, then checks every read API agrees: the retaining
+// ledger on everything, the fold-only one on every fold projection.
+// Streams mix registered and unregistered values, re-registration
+// mid-stream (classification is fixed at admission), empty and repeated
+// handles, the clock on or off, and telemetry phases on or off.
 func FuzzLedgerMatchesReference(f *testing.F) {
 	for seed := int64(1); seed <= 24; seed++ {
 		f.Add(seed, uint16(40+seed*17))
@@ -165,11 +185,14 @@ func FuzzLedgerMatchesReference(f *testing.F) {
 		if rng.Intn(2) == 0 {
 			clock = func() time.Duration { tick += time.Millisecond; return tick }
 		}
-		lg := New(cls, clock)
+		// Both ledgers share the clock, so a fold-only admission that
+		// read it would shift the retaining ledger's timestamps.
+		lg, fold := NewRetaining(cls, clock), New(cls, clock)
 		var tel *telemetry.Telemetry
 		if rng.Intn(2) == 0 {
 			tel = telemetry.New("diff", true, nil)
 			lg.Instrument(tel)
+			fold.Instrument(tel)
 		}
 		ref := &refLedger{}
 		var phase *telemetry.Span
@@ -216,6 +239,7 @@ func FuzzLedgerMatchesReference(f *testing.F) {
 				e := entry()
 				admit(observer, []Entry{e})
 				lg.Saw(observer, e.Kind, e.Value, e.Handles...)
+				fold.Saw(observer, e.Kind, e.Value, e.Handles...)
 			case op < 8:
 				entries := make([]Entry, rng.Intn(4))
 				for i := range entries {
@@ -225,6 +249,7 @@ func FuzzLedgerMatchesReference(f *testing.F) {
 					admit(observer, entries)
 				}
 				lg.SawBatch(observer, entries)
+				fold.SawBatch(observer, entries)
 			case op == 8:
 				register()
 			case tel != nil:
@@ -246,6 +271,12 @@ func FuzzLedgerMatchesReference(f *testing.F) {
 		if got, want := lg.Len(), len(ref.obs); got != want {
 			t.Errorf("Len = %d, want %d", got, want)
 		}
+		if got, want := fold.Stats(), ref.stats(); !reflect.DeepEqual(got, want) {
+			t.Errorf("fold-only Stats = %+v, want %+v", got, want)
+		}
+		if got, want := fold.Len(), len(ref.obs); got != want {
+			t.Errorf("fold-only Len = %d, want %d", got, want)
+		}
 		templates := []core.Tuple{
 			nil,
 			{core.NonSensID(), core.NonSensData()},
@@ -257,6 +288,9 @@ func FuzzLedgerMatchesReference(f *testing.F) {
 			}
 			if got, want := lg.Handles(name), ref.handles(name); !reflect.DeepEqual(got, want) {
 				t.Errorf("%s: Handles = %q, want %q", name, got, want)
+			}
+			if got, want := fold.Handles(name), ref.handles(name); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: fold-only Handles = %q, want %q", name, got, want)
 			}
 			if got, want := lg.LinkEvidenceFor(name), ref.linkEvidence(name); !reflect.DeepEqual(got, want) {
 				t.Errorf("%s: LinkEvidenceFor diverged:\n got %+v\nwant %+v", name, got, want)
@@ -275,7 +309,23 @@ func FuzzLedgerMatchesReference(f *testing.F) {
 						t.Errorf("%s %v: DeriveTuple[%d] = %+v, want %+v", name, tmpl, i, c, want[i].Component)
 					}
 				}
+				if got := fold.DeriveTuple(name, tmpl); !reflect.DeepEqual(got, tuple) {
+					t.Errorf("%s %v: fold-only DeriveTuple = %v, retaining %v", name, tmpl, got, tuple)
+				}
 			}
+		}
+		sys := &core.System{Name: "diff", Entities: []core.Entity{
+			{Name: "User", User: true, Knows: core.Tuple{core.SensID(), core.SensData()}},
+		}}
+		for _, name := range append(observers, "Nobody") {
+			sys.Entities = append(sys.Entities, core.Entity{Name: name, Knows: templates[rng.Intn(len(templates))]})
+		}
+		want := ref.deriveSystem(sys)
+		if got := lg.DeriveSystem(sys); !reflect.DeepEqual(got, want) {
+			t.Errorf("DeriveSystem diverged:\n got %+v\nwant %+v", got, want)
+		}
+		if got := fold.DeriveSystem(sys); !reflect.DeepEqual(got, want) {
+			t.Errorf("fold-only DeriveSystem diverged:\n got %+v\nwant %+v", got, want)
 		}
 	})
 }

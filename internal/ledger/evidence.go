@@ -53,13 +53,17 @@ type SystemEvidence struct {
 // returns, per component, the observations establishing it. Both come
 // from one derivation, so the component sequence (template axes first,
 // then extras sorted by kind and label) always matches DeriveTuple.
+// It panics on a fold-only ledger.
 func (l *Ledger) DeriveTupleEvidence(observer string, template core.Tuple) []ComponentEvidence {
+	l.mustRetain("DeriveTupleEvidence")
 	return l.derive(observer, template, true)
 }
 
 // LinkEvidenceFor returns, per distinct handle the entity holds (sorted
-// like Handles), the observations carrying it.
+// like Handles), the observations carrying it. It panics on a fold-only
+// ledger.
 func (l *Ledger) LinkEvidenceFor(observer string) []LinkEvidence {
+	l.mustRetain("LinkEvidenceFor")
 	byHandle := map[string][]Observation{}
 	for _, o := range l.ByObserver(observer) {
 		seen := map[string]bool{}
@@ -86,8 +90,10 @@ func (l *Ledger) LinkEvidenceFor(observer string) []LinkEvidence {
 // DeriveSystemEvidence builds the provenance-carrying equivalent of
 // DeriveSystem: the same measured system, plus per-entity component and
 // link evidence. Like DeriveSystem it reads per-observer snapshots;
-// call it after the run quiesces for a globally consistent audit.
+// call it after the run quiesces for a globally consistent audit. It
+// panics on a fold-only ledger.
 func (l *Ledger) DeriveSystemEvidence(expected *core.System) *SystemEvidence {
+	l.mustRetain("DeriveSystemEvidence")
 	out := &SystemEvidence{System: l.DeriveSystem(expected)}
 	for _, e := range expected.Entities {
 		ee := EntityEvidence{Name: e.Name, User: e.User}

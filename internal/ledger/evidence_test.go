@@ -22,7 +22,7 @@ func TestDeriveTupleEvidenceMatchesDeriveTuple(t *testing.T) {
 	levels := []core.Level{core.NonSensitive, core.Partial, core.Sensitive}
 	for trial := 0; trial < 50; trial++ {
 		cls := NewClassifier()
-		lg := New(cls, nil)
+		lg := NewRetaining(cls, nil)
 		for i := 0; i < 30; i++ {
 			k := kinds[rng.Intn(len(kinds))]
 			lvl := levels[rng.Intn(len(levels))]
@@ -124,7 +124,7 @@ func TestFoldAxesUnique(t *testing.T) {
 	cls := NewClassifier()
 	cls.RegisterData("x-partial", "alice", "X", core.Partial)
 	cls.RegisterData("x-full", "alice", "X", core.Sensitive)
-	lg := New(cls, nil)
+	lg := NewRetaining(cls, nil)
 	lg.SawData("ent", "x-partial")
 	lg.SawData("ent", "x-full")
 	lg.SawData("ent", "x-partial")
@@ -146,7 +146,7 @@ func TestObservationRecognizedAndPhase(t *testing.T) {
 	cls := NewClassifier()
 	cls.RegisterIdentity("alice", "alice", "", core.Sensitive)
 	cls.RegisterIdentity("relay", "", "", core.NonSensitive)
-	lg := New(cls, nil)
+	lg := NewRetaining(cls, nil)
 	tel := telemetry.New("phase-test", true, nil)
 	lg.Instrument(tel)
 
@@ -194,7 +194,7 @@ func TestDeriveSystemEvidenceConsistent(t *testing.T) {
 	cls := NewClassifier()
 	cls.RegisterIdentity("alice", "alice", "", core.Sensitive)
 	cls.RegisterData("query", "alice", "", core.Sensitive)
-	lg := New(cls, nil)
+	lg := NewRetaining(cls, nil)
 	lg.SawIdentity("Proxy", "alice", "h1")
 	lg.SawData("Proxy", "blob", "h1", "h2")
 	lg.SawData("Server", "query", "h2")

@@ -15,6 +15,15 @@
 // wire bytes). Entities that saw the same handle can join their records;
 // entities that only saw re-encrypted bytes cannot. The adversary
 // package builds its collusion analysis on exactly this.
+//
+// A ledger keeps what each entity learned, not every message it saw.
+// New folds each observation at admission into its observer's per-axis
+// maximum level and distinct-handle set, so memory is bounded by the
+// distinct handles, subjects and axes, not by run length; DeriveTuple,
+// DeriveSystem, Handles, Stats and Len read only that fold. Audits need
+// the observations themselves: NewRetaining builds a ledger that also
+// keeps the compact record log behind Observations, ByObserver and the
+// Evidence derivations. Those methods panic on a fold-only ledger.
 package ledger
 
 import (
@@ -117,16 +126,20 @@ func (c *Classifier) classify(kind core.Kind, value string) (classEntry, bool) {
 }
 
 // Ledger accumulates observations for one experiment run. The zero
-// value is not usable; construct with New. Ledger is safe for
-// concurrent use — real-loopback systems observe from handler
+// value is not usable; construct with New or NewRetaining. Ledger is
+// safe for concurrent use — real-loopback systems observe from handler
 // goroutines — and lock-striped per observer, so observers do not
 // contend with each other when appending.
 type Ledger struct {
 	classifier *Classifier
 	clock      func() time.Duration
 	strs       *interner
+	// retain keeps the record log; without it only the fold is kept.
+	retain bool
 
-	seq atomic.Uint64 // global admission counter, total order across shards
+	// seq is the global admission counter of retained records, their
+	// total order across shards.
+	seq atomic.Uint64
 
 	// tel counts observations per observer when instrumented; nil by
 	// default so Saw pays one pointer check.
@@ -136,14 +149,40 @@ type Ledger struct {
 	shards map[string]*shard
 }
 
-// New creates a ledger bound to a classifier. clock may be nil, in which
-// case observations are timestamped zero; simulations pass their virtual
-// clock so timing attacks can be evaluated.
+// New creates a fold-only ledger bound to a classifier: it keeps each
+// observer's per-axis fold, distinct handles and observation count, and
+// no observation log. clock may be nil; a fold-only ledger never reads
+// it, since timestamps live only in the log.
 func New(c *Classifier, clock func() time.Duration) *Ledger {
+	return newLedger(c, clock, false)
+}
+
+// NewRetaining creates a ledger that also keeps every observation in
+// compact form, for audits that read raw observations (Observations,
+// ByObserver and the Evidence derivations). clock may be nil, in which
+// case observations are timestamped zero; simulations pass their
+// virtual clock so timing attacks can be evaluated.
+func NewRetaining(c *Classifier, clock func() time.Duration) *Ledger {
+	return newLedger(c, clock, true)
+}
+
+func newLedger(c *Classifier, clock func() time.Duration, retain bool) *Ledger {
 	if c == nil {
 		c = NewClassifier()
 	}
-	return &Ledger{classifier: c, clock: clock, strs: newInterner(), shards: map[string]*shard{}}
+	return &Ledger{classifier: c, clock: clock, strs: newInterner(), retain: retain, shards: map[string]*shard{}}
+}
+
+// Retaining reports whether the ledger keeps its observation log, i.e.
+// whether it was built with NewRetaining.
+func (l *Ledger) Retaining() bool { return l.retain }
+
+// mustRetain panics when a raw-read method is called on a fold-only
+// ledger: an empty answer would read as "nothing was observed".
+func (l *Ledger) mustRetain(method string) {
+	if !l.retain {
+		panic("ledger: " + method + " reads the observation log, which a fold-only ledger does not keep; build it with ledger.NewRetaining")
+	}
 }
 
 // Classifier returns the bound classifier.
@@ -247,8 +286,9 @@ type Entry struct {
 // unaffected by converting call sites.
 //
 // Classification and interning happen before the shard lock is taken;
-// under it each entry becomes a compact record and is folded into the
-// shard's per-axis summary and handle set.
+// under it each entry is folded into the shard's per-axis summary and
+// handle set. Only a retaining ledger interns the observed value,
+// subject and phase and appends the entry as a compact record.
 func (l *Ledger) SawBatch(observer string, entries []Entry) {
 	if len(entries) == 0 {
 		return
@@ -262,17 +302,21 @@ func (l *Ledger) SawBatch(observer string, entries []Entry) {
 	var idBuf [8]uint32
 	pend, ids := pendBuf[:0], idBuf[:0]
 	var r record
-	if l.clock != nil {
-		// One clock read for the batch: the entries describe a single
-		// protocol step, observed at a single instant.
-		r.time = l.clock()
-	}
-	if l.tel != nil { // one pointer check when uninstrumented
-		r.phase = l.strs.id(l.tel.CurrentPhase())
+	if l.retain {
+		if l.clock != nil {
+			// One clock read for the batch: the entries describe a
+			// single protocol step, observed at a single instant.
+			r.time = l.clock()
+		}
+		if l.tel != nil { // one pointer check when uninstrumented
+			r.phase = l.strs.id(l.tel.CurrentPhase())
+		}
 	}
 	for _, in := range entries {
 		e, recognized := l.classifier.classify(in.Kind, in.Value)
-		r.value, r.subject = l.strs.id(in.Value), l.strs.id(e.subject)
+		if l.retain {
+			r.value, r.subject = l.strs.id(in.Value), l.strs.id(e.subject)
+		}
 		r.level, r.recognized = uint8(e.level), recognized
 		pend = append(pend, pending{rec: r, axis: axis{in.Kind, e.label}, nh: len(in.Handles)})
 		for _, h := range in.Handles {
@@ -281,10 +325,13 @@ func (l *Ledger) SawBatch(observer string, entries []Entry) {
 	}
 	s := l.shardFor(observer)
 	s.mu.Lock()
-	base := l.seq.Add(uint64(len(pend))) - uint64(len(pend))
+	var base uint64
+	if l.retain {
+		base = l.seq.Add(uint64(len(pend))) - uint64(len(pend))
+	}
 	for i, p := range pend {
 		p.rec.seq = base + uint64(i) + 1
-		s.admit(p.rec, p.axis, ids[:p.nh])
+		s.admit(p.rec, p.axis, ids[:p.nh], l.retain)
 		ids = ids[p.nh:]
 	}
 	s.mu.Unlock()
@@ -302,8 +349,10 @@ func (l *Ledger) SawData(observer, value string, handles ...string) {
 }
 
 // Observations returns a copy of all recorded observations in global
-// admission order, merged consistently across observer shards.
+// admission order, merged consistently across observer shards. It
+// panics on a fold-only ledger.
 func (l *Ledger) Observations() []Observation {
+	l.mustRetain("Observations")
 	shards, unlock := l.lockAll()
 	var out []Observation
 	for _, s := range shards {
@@ -322,8 +371,9 @@ func (l *Ledger) shard(name string) *shard {
 }
 
 // ByObserver returns the observations recorded by one entity, in the
-// order the entity recorded them.
+// order the entity recorded them. It panics on a fold-only ledger.
 func (l *Ledger) ByObserver(name string) []Observation {
+	l.mustRetain("ByObserver")
 	s := l.shard(name)
 	if s == nil {
 		return nil
@@ -339,7 +389,7 @@ func (l *Ledger) Len() int {
 	defer unlock()
 	n := 0
 	for _, s := range shards {
-		n += s.recs.len()
+		n += s.n
 	}
 	return n
 }
@@ -374,10 +424,10 @@ func (l *Ledger) Stats() Stats {
 		s := shards[name]
 		st.Observers = append(st.Observers, ObserverStats{
 			Observer:     name,
-			Observations: s.recs.len(),
+			Observations: s.n,
 			Handles:      len(s.linked),
 		})
-		st.Total += s.recs.len()
+		st.Total += s.n
 	}
 	return st
 }

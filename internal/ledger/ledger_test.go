@@ -10,17 +10,19 @@ import (
 	"decoupling/internal/core"
 )
 
-func newTestLedger() *Ledger {
+func testClassifier() *Classifier {
 	c := NewClassifier()
 	c.RegisterIdentity("10.0.0.7", "alice", "", core.Sensitive)
 	c.RegisterIdentity("proxy.example", "", "", core.NonSensitive)
 	c.RegisterData("secret-query.example.com", "alice", "", core.Sensitive)
 	c.RegisterData("example.com", "alice", "", core.Partial)
-	return New(c, nil)
+	return c
 }
 
+func newTestLedger() *Ledger { return New(testClassifier(), nil) }
+
 func TestClassifierDrivesLevels(t *testing.T) {
-	l := newTestLedger()
+	l := NewRetaining(testClassifier(), nil)
 	l.SawIdentity("Proxy", "10.0.0.7")
 	l.SawData("Proxy", "3fa9c1-ciphertext") // unregistered -> non-sensitive
 	l.SawData("Target", "secret-query.example.com")
@@ -159,7 +161,7 @@ func TestHandles(t *testing.T) {
 
 func TestClockStampsObservations(t *testing.T) {
 	now := 5 * time.Second
-	l := New(NewClassifier(), func() time.Duration { return now })
+	l := NewRetaining(NewClassifier(), func() time.Duration { return now })
 	l.SawData("A", "x")
 	now = 7 * time.Second
 	l.SawData("A", "y")
@@ -216,7 +218,7 @@ func TestConnHandleOrderMatters(t *testing.T) {
 }
 
 func TestNewNilClassifier(t *testing.T) {
-	l := New(nil, nil)
+	l := NewRetaining(nil, nil)
 	l.SawData("A", "anything")
 	if l.Observations()[0].Level != core.NonSensitive {
 		t.Error("default classification should be non-sensitive")

@@ -55,10 +55,11 @@ const (
 	internStripes = 1 << stripeBits
 )
 
-// interner maps every string a ledger stores (values, subjects, phases,
-// handles) to a uint32 id, ledger-wide. Id 0 is the empty string; other
-// ids carry their stripe in the low stripeBits and the 1-based index in
-// that stripe's string store above them.
+// interner maps every string a ledger stores (handles, plus values,
+// subjects and phases when retaining) to a uint32 id, ledger-wide. Id 0
+// is the empty string; other ids carry their stripe in the low
+// stripeBits and the 1-based index in that stripe's string store above
+// them.
 type interner struct {
 	seed    maphash.Seed
 	stripes [internStripes]internStripe
@@ -139,30 +140,40 @@ type axisFold struct {
 	count int
 }
 
-// shard holds one observer's records plus the fold the derivations
-// project from. Each observer gets its own lock, so concurrent
-// observers never contend with each other on the hot Saw path.
+// shard holds one observer's fold — the per-axis summaries, distinct
+// handles and observation count the derivations project from — plus,
+// in a retaining ledger, its record log. Each observer gets its own
+// lock, so concurrent observers never contend with each other on the
+// hot Saw path.
 type shard struct {
 	name string
 
-	mu      sync.Mutex
+	mu     sync.Mutex
+	n      int // observations admitted
+	axes   []axisFold
+	linked map[uint32]struct{} // distinct handle ids
+	// recs and handles are the record log, empty unless retaining.
 	recs    chunked[record]
 	handles chunked[uint32]
-	axes    []axisFold
-	linked  map[uint32]struct{} // distinct handle ids
 	// obsCounter is the cached telemetry counter for this observer,
 	// nil when the ledger is uninstrumented (Counter.Add is nil-safe).
 	obsCounter *telemetry.Counter
 }
 
-// admit appends r, folding its axis, level and handles into the
-// shard's summary. Caller holds s.mu.
-func (s *shard) admit(r record, a axis, handles []uint32) {
+// admit folds r's axis, level and handles into the shard's summary and,
+// with retain set, appends r to the record log. Caller holds s.mu.
+func (s *shard) admit(r record, a axis, handles []uint32, retain bool) {
+	s.n++
 	r.axis = s.fold(a, core.Level(r.level))
+	for _, h := range handles {
+		s.linked[h] = struct{}{}
+	}
+	if !retain {
+		return
+	}
 	r.handles = uint32(s.handles.len())
 	for _, h := range handles {
 		s.handles.push(h)
-		s.linked[h] = struct{}{}
 	}
 	s.recs.push(r)
 }

@@ -24,7 +24,7 @@ func TestConcurrentObserveMatchesSequential(t *testing.T) {
 	template := core.Tuple{core.SensID(), core.SensData()}
 
 	// Sequential ground truth: same event set, one goroutine.
-	seq := New(NewClassifier(), nil)
+	seq := NewRetaining(NewClassifier(), nil)
 	registerAll(seq.Classifier(), observers)
 	for o := 0; o < observers; o++ {
 		for w := 0; w < writers; w++ {
@@ -34,7 +34,7 @@ func TestConcurrentObserveMatchesSequential(t *testing.T) {
 		}
 	}
 
-	conc := New(NewClassifier(), nil)
+	conc := NewRetaining(NewClassifier(), nil)
 	registerAll(conc.Classifier(), observers)
 	var wg sync.WaitGroup
 	for o := 0; o < observers; o++ {

@@ -194,7 +194,7 @@ func TestDecouplingTable(t *testing.T) {
 // structure measured at runtime matches the §4.1 collusion argument.
 func TestCollusionStructure(t *testing.T) {
 	cls := ledger.NewClassifier()
-	lg := ledger.New(cls, nil)
+	lg := ledger.NewRetaining(cls, nil)
 	net := simnet.New(7)
 	route, _, rcv := buildCascade(t, net, 3, 1, 0, false, lg)
 

@@ -137,7 +137,7 @@ func TestBuildReplyBlockEmptyRoute(t *testing.T) {
 // knowledge structure of the forward path.
 func TestReplyPathDecoupling(t *testing.T) {
 	cls := ledger.NewClassifier()
-	lg := ledger.New(cls, nil)
+	lg := ledger.NewRetaining(cls, nil)
 	net := simnet.New(5)
 	route, _, rcv := buildCascade(t, net, 3, 1, 0, false, lg)
 	collector := NewReplyCollector(net, "alice-home")

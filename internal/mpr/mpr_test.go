@@ -161,7 +161,7 @@ func TestDecouplingTable(t *testing.T) {
 // relay1+relay2+origin coalition can, via the chained TCP 4-tuples.
 func TestCollusionStructure(t *testing.T) {
 	cls := ledger.NewClassifier()
-	lg := ledger.New(cls, nil)
+	lg := ledger.NewRetaining(cls, nil)
 	stack, err := NewStack(lg, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -196,7 +196,7 @@ func TestCollusionStructure(t *testing.T) {
 // TestRelay1NeverSeesOrigin: the load-bearing negative for hop 1.
 func TestRelay1NeverSeesOrigin(t *testing.T) {
 	cls := ledger.NewClassifier()
-	lg := ledger.New(cls, nil)
+	lg := ledger.NewRetaining(cls, nil)
 	stack, err := NewStack(lg, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -274,7 +274,7 @@ func BenchmarkFetchThroughStack(b *testing.B) {
 // measured knowledge — visible in the ledger, absent without the hint.
 func TestGeoHintRegression(t *testing.T) {
 	cls := ledger.NewClassifier()
-	lg := ledger.New(cls, nil)
+	lg := ledger.NewRetaining(cls, nil)
 	stack, err := NewStack(lg, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -27,7 +27,7 @@ func TestConcurrentClientsLedgerInvariants(t *testing.T) {
 		goroutines = 50
 	)
 	net := newTest(t, Options{Mode: ModeTCP, DisableCapture: true})
-	lg := ledger.New(ledger.NewClassifier(), nil)
+	lg := ledger.NewRetaining(ledger.NewClassifier(), nil)
 	net.Register("server", func(_ transport.Transport, msg transport.Message) {
 		lg.SawBatch("server", []ledger.Entry{
 			{Kind: core.Identity, Value: string(msg.Src), Handles: []string{string(msg.Src)}},

@@ -174,7 +174,7 @@ func TestDecouplingTable(t *testing.T) {
 // they must be different organizations.
 func TestResolverObliviousResolverCollusion(t *testing.T) {
 	cls := ledger.NewClassifier()
-	lg := ledger.New(cls, nil)
+	lg := ledger.NewRetaining(cls, nil)
 	recursive, oblivious, _ := ecosystem(t, lg)
 	for i := 0; i < 4; i++ {
 		who := fmt.Sprintf("client-%d", i)
@@ -202,7 +202,7 @@ func TestResolverObliviousResolverCollusion(t *testing.T) {
 // observation by the recursive resolver contains a plaintext query name.
 func TestResolverSeesOnlyCiphertext(t *testing.T) {
 	cls := ledger.NewClassifier()
-	lg := ledger.New(cls, nil)
+	lg := ledger.NewRetaining(cls, nil)
 	recursive, oblivious, _ := ecosystem(t, lg)
 	cls.RegisterData("secret.example.com.", "alice", "", core.Sensitive)
 	client := NewClient("alice", oblivious.PublicKey(), recursive)

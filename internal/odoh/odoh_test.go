@@ -158,7 +158,7 @@ func TestDecouplingTable(t *testing.T) {
 // proxy and target share the forwarding leg.
 func TestProxyTargetCollusionLinks(t *testing.T) {
 	cls := ledger.NewClassifier()
-	lg := ledger.New(cls, nil)
+	lg := ledger.NewRetaining(cls, nil)
 	proxy, target := ecosystem(t, lg)
 	for i := 0; i < 4; i++ {
 		who := fmt.Sprintf("client-%d", i)

@@ -21,7 +21,7 @@ import (
 // catches the read, since the measured tuple never changes.
 func TestSnoopProxyCapturesOnlyCiphertext(t *testing.T) {
 	cls := ledger.NewClassifier()
-	lg := ledger.New(cls, nil)
+	lg := ledger.NewRetaining(cls, nil)
 	proxy, target := ecosystem(t, lg)
 	snoop := NewSnoopProxy(proxy)
 

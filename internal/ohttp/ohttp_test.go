@@ -96,7 +96,7 @@ func TestUnmarshalFuzzSafety(t *testing.T) {
 // contribution" (§3.2.5).
 func TestKnowledgeSplit(t *testing.T) {
 	cls := ledger.NewClassifier()
-	lg := ledger.New(cls, nil)
+	lg := ledger.NewRetaining(cls, nil)
 	relay, g := echoGateway(t, lg)
 	keyID, pub := g.KeyConfig()
 

@@ -218,7 +218,7 @@ func TestLatencyGrowsLinearlyWithHops(t *testing.T) {
 // link, the full path can.
 func TestDecouplingStructure(t *testing.T) {
 	cls := ledger.NewClassifier()
-	lg := ledger.New(cls, nil)
+	lg := ledger.NewRetaining(cls, nil)
 	net := simnet.New(3)
 	infos, _, _ := buildPath(t, net, 3, lg)
 

@@ -230,7 +230,7 @@ func TestBaselineCoupled(t *testing.T) {
 // chain between billing records and attach records.
 func TestGatewayCoreCollusionCannotLink(t *testing.T) {
 	cls := ledger.NewClassifier()
-	lg := ledger.New(cls, nil)
+	lg := ledger.NewRetaining(cls, nil)
 	if _, err := RunSim(smallConfig(true, ShufflePerAttach), lg); err != nil {
 		t.Fatal(err)
 	}

@@ -289,7 +289,7 @@ func TestDecouplingTable(t *testing.T) {
 // value in the clear.
 func TestNoEntityObservesInputs(t *testing.T) {
 	cls := ledger.NewClassifier()
-	lg := ledger.New(cls, nil)
+	lg := ledger.NewRetaining(cls, nil)
 	s := NewSystem(sumTask, 3, lg)
 	secret := uint64(123)
 	cls.RegisterData(fmt.Sprint(secret), "alice", "", core.Sensitive)
@@ -361,7 +361,7 @@ func TestPartialAggregateSharesAreGarbage(t *testing.T) {
 
 func TestLinkageEngineOnLedger(t *testing.T) {
 	cls := ledger.NewClassifier()
-	lg := ledger.New(cls, nil)
+	lg := ledger.NewRetaining(cls, nil)
 	s := NewSystem(sumTask, 2, lg)
 	cls.RegisterIdentity("alice", "alice", "", core.Sensitive)
 	if _, err := s.Upload("alice", 7); err != nil {

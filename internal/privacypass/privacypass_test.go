@@ -164,7 +164,7 @@ func TestDecouplingTable(t *testing.T) {
 // strongest coalition.
 func TestIssuerOriginCollusionCannotLink(t *testing.T) {
 	cls := ledger.NewClassifier()
-	lg := ledger.New(cls, nil)
+	lg := ledger.NewRetaining(cls, nil)
 	is, err := NewIssuer("issuer.example", testKeyBits, lg)
 	if err != nil {
 		t.Fatal(err)

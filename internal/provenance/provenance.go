@@ -139,6 +139,9 @@ type Audit struct {
 // system model. The coalition analyzed is every non-user entity — the
 // worst case the paper's degree-of-decoupling measures.
 func Derive(lg *ledger.Ledger, expected *core.System) (*Audit, error) {
+	if !lg.Retaining() {
+		return nil, fmt.Errorf("provenance: audit needs the ledger's observations; build it with ledger.NewRetaining")
+	}
 	sysEv := lg.DeriveSystemEvidence(expected)
 	verdict, err := core.Analyze(sysEv.System)
 	if err != nil {

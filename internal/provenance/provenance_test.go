@@ -20,7 +20,7 @@ const nClients = 6
 // vary with run).
 func buildRun(run int, perm []int) (*ledger.Ledger, *core.System) {
 	cls := ledger.NewClassifier()
-	lg := ledger.New(cls, nil)
+	lg := ledger.NewRetaining(cls, nil)
 	target := fmt.Sprintf("tl-%d", run) // raw handles differ per run
 	type op func()
 	var ops []op
@@ -213,7 +213,7 @@ func TestPartitionsSplit(t *testing.T) {
 	cls.RegisterIdentity("alice-addr", "alice", "", core.Sensitive)
 	cls.RegisterData("alice-secret", "alice", "", core.Sensitive)
 	cls.RegisterIdentity("bob-addr", "bob", "", core.Sensitive)
-	lg := ledger.New(cls, nil)
+	lg := ledger.NewRetaining(cls, nil)
 	// Session 1: identity and data share a handle — coupled.
 	lg.SawIdentity("VPN", "alice-addr", "s1")
 	lg.SawData("VPN", "alice-secret", "s1")
@@ -255,5 +255,17 @@ func TestPartitionsSplit(t *testing.T) {
 		if !strings.Contains(report.String(), want) {
 			t.Errorf("report missing %q:\n%s", want, report.String())
 		}
+	}
+}
+
+// TestDeriveFoldOnlyLedgerErrors: a fold-only ledger keeps no
+// observations, so Derive must refuse it rather than render an audit
+// with no evidence.
+func TestDeriveFoldOnlyLedgerErrors(t *testing.T) {
+	lg := ledger.New(ledger.NewClassifier(), nil)
+	lg.SawIdentity("VPN", "alice-addr", "s1")
+	a, err := Derive(lg, core.VPN())
+	if err == nil || !strings.Contains(err.Error(), "NewRetaining") {
+		t.Fatalf("Derive on a fold-only ledger = %v, %v; want an error naming NewRetaining", a, err)
 	}
 }

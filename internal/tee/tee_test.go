@@ -113,7 +113,7 @@ func TestCACTIRateLimit(t *testing.T) {
 // CAPTCHA-replacement privacy claim.
 func TestCACTIDecoupling(t *testing.T) {
 	cls := ledger.NewClassifier()
-	lg := ledger.New(cls, nil)
+	lg := ledger.NewRetaining(cls, nil)
 	v := testVendor(t)
 	e := v.Manufacture(CACTIProgram())
 	origin := NewCACTIOrigin("site.example", v.PublicKey(), 10, lg)
@@ -141,7 +141,7 @@ func TestPhoenixKeylessCDN(t *testing.T) {
 	cls := ledger.NewClassifier()
 	cls.RegisterIdentity("client-addr", "alice", "", core.Sensitive)
 	cls.RegisterData("/members/secret-page", "alice", "", core.Sensitive)
-	lg := ledger.New(cls, nil)
+	lg := ledger.NewRetaining(cls, nil)
 
 	v := testVendor(t)
 	enclave := v.Manufacture(PhoenixProgram())

@@ -84,6 +84,9 @@ func Audit(p *Plane, lg *ledger.Ledger, expected *core.System) (*Report, error) 
 	if lg == nil || expected == nil {
 		return nil, fmt.Errorf("wiretrace: audit needs a protocol ledger and an expected system")
 	}
+	if !lg.Retaining() {
+		return nil, fmt.Errorf("wiretrace: audit needs the protocol ledger's observations; build it with ledger.NewRetaining")
+	}
 	traceLG := TraceLedger(p, lg.Classifier())
 
 	rep := &Report{Mode: p.Mode(), Spans: p.SpanCount(), Decoupled: true}
@@ -148,7 +151,7 @@ func Audit(p *Plane, lg *ledger.Ledger, expected *core.System) (*Report, error) 
 // with the span's trace IDs as the linkage handles. The classifier is
 // shared with the protocol ledger so sensitivity and subjects match.
 func TraceLedger(p *Plane, cls *ledger.Classifier) *ledger.Ledger {
-	traceLG := ledger.New(cls, nil)
+	traceLG := ledger.NewRetaining(cls, nil)
 	if !p.Enabled() {
 		return traceLG
 	}

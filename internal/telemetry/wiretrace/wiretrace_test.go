@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"decoupling/internal/core"
+	"decoupling/internal/ledger"
 )
 
 // fakeClock returns a monotonically increasing clock stepping 1ms per
@@ -448,5 +449,17 @@ func TestPerfettoShape(t *testing.T) {
 	// 3 vantages (client, Mix 1, Receiver) and 3 spans, one rotation.
 	if threads != 3 || complete != 3 || rotated != 1 {
 		t.Errorf("threads=%d complete=%d rotated=%d, want 3/3/1", threads, complete, rotated)
+	}
+}
+
+// TestAuditFoldOnlyLedgerErrors: the coalition sweep reads the protocol
+// ledger's observations, so Audit must refuse a fold-only ledger rather
+// than report an empty protocol side.
+func TestAuditFoldOnlyLedgerErrors(t *testing.T) {
+	p := New(ModeRotate, 1)
+	lg := ledger.New(ledger.NewClassifier(), nil)
+	rep, err := Audit(p, lg, core.ObliviousDNS())
+	if err == nil || !strings.Contains(err.Error(), "NewRetaining") {
+		t.Fatalf("Audit with a fold-only ledger = %v, %v; want an error naming NewRetaining", rep, err)
 	}
 }

@@ -108,7 +108,7 @@ func TestDecouplingTable(t *testing.T) {
 // session records couple identity and data.
 func TestVPNAloneLinksEveryone(t *testing.T) {
 	cls := ledger.NewClassifier()
-	lg := ledger.New(cls, nil)
+	lg := ledger.NewRetaining(cls, nil)
 	vpnAddr, originAddr, cleanup := stack(t, lg)
 	defer cleanup()
 	for i := 0; i < 4; i++ {

@@ -95,7 +95,7 @@ func TestScaleLinkageEngine(t *testing.T) {
 		t.Skip("scale test")
 	}
 	cls := ledger.NewClassifier()
-	lg := ledger.New(cls, nil)
+	lg := ledger.NewRetaining(cls, nil)
 	const subjects = 5000
 	for i := 0; i < subjects; i++ {
 		who := fmt.Sprintf("user%05d", i)
