@@ -246,9 +246,9 @@ func audit(out, errw io.Writer, args []string) error {
 		return err
 	}
 
-	// Tracing is on so ledger observations join their protocol phase;
-	// the spans themselves are discarded.
-	tel := telemetry.New("audit", true, nil)
+	// A telemetry handle carries the phase stack, so ledger
+	// observations join their protocol phase.
+	tel := telemetry.New(nil)
 	var lg *ledger.Ledger
 	if plan != nil {
 		if sc.RunFaults == nil {

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
 	"decoupling/internal/explore"
 	"decoupling/internal/telemetry"
+	"decoupling/internal/telemetry/wiretrace"
 )
 
 func TestRunSelectedExperiment(t *testing.T) {
@@ -57,17 +59,19 @@ func TestBadFlag(t *testing.T) {
 }
 
 // TestTraceDeterminism is the observability-era determinism contract:
-// the exported JSONL trace must be byte-identical across -parallel
-// settings and across repeated runs, and the report on stdout must not
-// change a byte when telemetry is on. E2 and E10 cover a mixnet cascade
-// and multi-hop onion chains — the interesting nesting cases.
+// with the observed values stripped (ciphertext digests change with
+// every run's fresh HPKE keys), the exported wire spans must be
+// byte-identical across -parallel settings and across repeated runs,
+// and the report on stdout must not change with the parallelism.
+// E2 covers a mixnet cascade, E4 the oblivious DNS chains.
 func TestTraceDeterminism(t *testing.T) {
 	dir := t.TempDir()
-	runOnce := func(name, parallel string) (trace []byte, stdout string) {
+	values := regexp.MustCompile(`(?m),"values":.*$`)
+	runOnce := func(name, parallel string) (spans []byte, stdout string) {
 		t.Helper()
 		path := filepath.Join(dir, name)
 		var out, errw bytes.Buffer
-		args := []string{"-parallel", parallel, "-trace", path, "E2", "E10"}
+		args := []string{"-parallel", parallel, "-trace-mode", "rotate", "-wirespans", path, "E2", "E4"}
 		if code := run(&out, &errw, args); code != 0 {
 			t.Fatalf("exit = %d, stderr = %s", code, errw.String())
 		}
@@ -77,42 +81,50 @@ func TestTraceDeterminism(t *testing.T) {
 		}
 		return raw, out.String()
 	}
-	t1, s1 := runOnce("t1.jsonl", "4")
+	raw, s1 := runOnce("t1.jsonl", "4")
 	t2, s2 := runOnce("t2.jsonl", "1")
 	t3, _ := runOnce("t3.jsonl", "4")
-	if !bytes.Equal(t1, t2) {
-		t.Errorf("trace bytes differ between -parallel 4 and -parallel 1")
+	t1 := values.ReplaceAll(raw, []byte("}"))
+	if !bytes.Equal(t1, values.ReplaceAll(t2, []byte("}"))) {
+		t.Errorf("span bytes differ between -parallel 4 and -parallel 1")
 	}
-	if !bytes.Equal(t1, t3) {
-		t.Errorf("trace bytes differ between two -parallel 4 runs")
+	if !bytes.Equal(t1, values.ReplaceAll(t3, []byte("}"))) {
+		t.Errorf("span bytes differ between two -parallel 4 runs")
 	}
 	if s1 != s2 {
 		t.Errorf("report changed with parallelism while tracing")
 	}
 
-	recs, err := telemetry.ParseJSONL(bytes.NewReader(t1))
+	recs, err := wiretrace.ParseJSONL(bytes.NewReader(raw))
 	if err != nil {
-		t.Fatalf("exported trace fails strict parse: %v", err)
+		t.Fatalf("exported spans fail strict parse: %v", err)
 	}
-	// Depth check: E10's onion chains must produce spans nested at least
-	// 4 deep (experiment → phase → deliver → relay handler).
-	depth := map[uint64]int{}
-	maxDepth := 0
+	if err := wiretrace.Check(recs); err != nil {
+		t.Fatalf("exported spans fail Check: %v", err)
+	}
+	// Depth check: stitched across its rotations, an E2 message is the
+	// chain sender → Mix 1 → Mix 2 → Mix 3 → Receiver.
+	byID := map[string]wiretrace.Record{}
 	for _, r := range recs {
-		if r.Trace != "E10" {
+		byID[r.Span] = r
+	}
+	want := []string{"client", "Mix 1", "Mix 2", "Mix 3", "Receiver"}
+	found := false
+	for _, r := range recs {
+		if r.Name != "mixnet.deliver" {
 			continue
 		}
-		d := 1
-		if r.Parent != 0 {
-			d = depth[r.Parent] + 1
+		var chain []string
+		for cur, ok := r, true; ok; cur, ok = byID[cur.Parent] {
+			chain = append([]string{cur.Vantage}, chain...)
 		}
-		depth[r.Span] = d
-		if d > maxDepth {
-			maxDepth = d
+		if len(chain) >= 5 && strings.Join(chain, " → ") == strings.Join(want, " → ") {
+			found = true
+			break
 		}
 	}
-	if maxDepth < 4 {
-		t.Errorf("E10 max span depth = %d, want >= 4 (multi-hop chains must nest)", maxDepth)
+	if !found {
+		t.Errorf("no E2 delivery stitches to the 5-deep chain %s", strings.Join(want, " → "))
 	}
 }
 

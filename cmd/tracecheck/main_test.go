@@ -22,12 +22,12 @@ func write(t *testing.T, name, content string) string {
 
 func TestValidArtifacts(t *testing.T) {
 	t.Parallel()
-	tr := telemetry.NewTracer("E2")
-	root := tr.Start("experiment")
-	tr.Start("phase:forward").End()
+	p := wiretrace.New(wiretrace.ModeRotate, 1)
+	root := p.Root("client", "send", "c", "m")
+	p.Hop("Mix 1", "hop", root.Context(), "c", "").End()
 	root.End()
 	var trace bytes.Buffer
-	if err := tr.WriteJSONL(&trace); err != nil {
+	if err := wiretrace.WriteJSONL(&trace, p); err != nil {
 		t.Fatal(err)
 	}
 	m := telemetry.NewMetrics()
@@ -41,26 +41,14 @@ func TestValidArtifacts(t *testing.T) {
 	tp := write(t, "t.jsonl", trace.String())
 	mp := write(t, "m.prom", prom.String())
 	var out, errw bytes.Buffer
-	if code := run(&out, &errw, []string{"-trace", tp, "-metrics", mp}); code != 0 {
+	if code := run(&out, &errw, []string{"-spans", tp, "-metrics", mp}); code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errw.String())
 	}
-	if !strings.Contains(out.String(), "2 spans (1 roots)") {
+	if !strings.Contains(out.String(), "2 spans (1 roots") {
 		t.Errorf("trace summary missing: %s", out.String())
 	}
 	if !strings.Contains(out.String(), "canonical") {
 		t.Errorf("metrics summary missing: %s", out.String())
-	}
-}
-
-func TestInvalidTrace(t *testing.T) {
-	t.Parallel()
-	tp := write(t, "bad.jsonl", `{"trace":"T","span":1,"parent":5,"name":"x","start_ns":0,"end_ns":0}`+"\n")
-	var out, errw bytes.Buffer
-	if code := run(&out, &errw, []string{"-trace", tp}); code != 1 {
-		t.Fatalf("exit %d, want 1", code)
-	}
-	if !strings.Contains(errw.String(), "parent") {
-		t.Errorf("error did not name the violation: %s", errw.String())
 	}
 }
 
@@ -119,7 +107,7 @@ func TestUsageErrors(t *testing.T) {
 	if code := run(&out, &errw, nil); code != 2 {
 		t.Errorf("no flags: exit %d, want 2", code)
 	}
-	if code := run(&out, &errw, []string{"-trace", "does-not-exist.jsonl"}); code != 1 {
+	if code := run(&out, &errw, []string{"-spans", "does-not-exist.jsonl"}); code != 1 {
 		t.Errorf("missing file: exit %d, want 1", code)
 	}
 }

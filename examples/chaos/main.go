@@ -33,7 +33,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	lg, err := sc.RunFaults(experiments.Ctx{Tel: telemetry.New("chaos", true, nil)}, 1, plan)
+	lg, err := sc.RunFaults(experiments.Ctx{Tel: telemetry.New(nil)}, 1, plan)
 	if err != nil {
 		log.Fatal(err)
 	}

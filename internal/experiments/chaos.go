@@ -320,7 +320,6 @@ func odohChaosRun(ctx Ctx, rate float64, retry bool) (ok int, lg *ledger.Ledger,
 	for i := 0; i < auditDNSClients; i++ {
 		who := fmt.Sprintf("client-%d", i)
 		c := odoh.NewClient(who, keyID, pub)
-		c.Instrument(tel)
 		rc := &odoh.ResilientClient{Client: c, Policy: p, Forwards: []odoh.ForwardFunc{forward}}
 		rc.Instrument(tel)
 		if _, qerr := rc.Query(auditDNSNames[i%len(auditDNSNames)], dnswire.TypeA); qerr == nil {
@@ -547,7 +546,6 @@ func E15ChaosFailover(ctx Ctx) (*Result, error) {
 		for i := 0; i < auditDNSClients; i++ {
 			who := fmt.Sprintf("client-%d", i)
 			c := odoh.NewClient(who, keyID, pub)
-			c.Instrument(tel)
 			rc := &odoh.ResilientClient{Client: c, Policy: p, Forwards: forwards}
 			rc.Instrument(tel)
 			if _, qerr := rc.Query(auditDNSNames[i%len(auditDNSNames)], dnswire.TypeA); qerr == nil {
@@ -633,7 +631,6 @@ func e16Run(ctx Ctx, mode resilience.Mode) (lg *ledger.Ledger, okHealthy, fallba
 		}
 		who := fmt.Sprintf("client-%d", i)
 		c := odoh.NewClient(who, keyID, pub)
-		c.Instrument(tel)
 		rc := &odoh.ResilientClient{Client: c, Policy: p, Forwards: []odoh.ForwardFunc{forward}}
 		rc.Instrument(tel)
 		if mode == resilience.FailOpen {

@@ -16,8 +16,10 @@ import (
 // explorer passes WithNetHook to install schedulers on each net an
 // experiment builds and harvest their recorded schedules afterwards.
 type Ctx struct {
-	// Tel is the experiment's telemetry handle (nil when observability
-	// is off; all telemetry methods are nil-receiver safe).
+	// Tel is the experiment's telemetry handle: metrics and the
+	// protocol-phase stack the ledger stamps on observations. The
+	// runner always passes one; nil records nothing (all telemetry
+	// methods are nil-receiver safe).
 	Tel *telemetry.Telemetry
 
 	// Wire is the run's wire-trace plane (nil when tracing is off; all

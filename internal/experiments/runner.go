@@ -23,24 +23,21 @@ import (
 // 1 or GOMAXPROCS.
 //
 // Telemetry preserves that property: each experiment gets its own
-// Tracer (span ids and virtual timestamps are per-experiment state), so
-// exporting traces in input order yields byte-identical JSONL at any
-// parallelism. The Metrics registry is shared, but counter and
-// histogram updates commute and exposition output is sorted.
+// telemetry handle (its protocol-phase stack is per-experiment state)
+// and its own wire-trace plane. The Metrics registry is shared, but
+// counter and histogram updates commute and exposition output is
+// sorted.
 type Runner struct {
 	// Workers bounds concurrent experiment executions. Values < 1 mean
 	// runtime.GOMAXPROCS(0).
 	Workers int
-	// Trace enables span recording: each experiment runs with its own
-	// tracer, returned in its RunnerResult.
-	Trace bool
 	// Metrics, when non-nil, is the shared registry every experiment
 	// reports counters and histograms into.
 	Metrics *telemetry.Metrics
 	// WireMode, when not ModeOff, gives each experiment its own
 	// wire-trace plane (returned in its RunnerResult for export and
 	// for the trace-plane audit). Per-experiment planes keep span and
-	// trace ids independent of -parallel, like the tracers.
+	// trace ids independent of -parallel.
 	WireMode wiretrace.Mode
 	// Transport, when non-nil, overrides each experiment's transport
 	// construction (the Ctx.NewRunner lever): cmd/experiments
@@ -53,9 +50,6 @@ type RunnerResult struct {
 	ID     string
 	Result *Result
 	Err    error
-	// Trace is the experiment's span recording (nil unless the runner
-	// ran with Trace enabled).
-	Trace *telemetry.Tracer
 	// Wire is the experiment's wire-trace plane (nil unless the runner
 	// ran with a WireMode).
 	Wire *wiretrace.Plane
@@ -90,27 +84,19 @@ func (r *Runner) Run(exps []Experiment) []RunnerResult {
 			defer wg.Done()
 			for j := range jobs {
 				exp := exps[j.idx]
-				tel := telemetry.New(exp.ID, r.Trace, r.Metrics, telemetry.A("experiment", exp.ID))
+				tel := telemetry.New(r.Metrics, telemetry.A("experiment", exp.ID))
 				tel.Observe(telemetry.MetricRunnerQueueWait,
 					"Wall-clock wait between experiment enqueue and worker pickup.",
 					telemetry.WaitBuckets, time.Since(j.enqueued).Seconds())
 				start := time.Now()
-				// The root span: children are protocol phases and, under
-				// those, per-hop deliveries. Its end is stamped with the
-				// experiment's virtual elapsed time so the exported trace
-				// stays wall-clock free.
-				root := tel.Start("experiment", telemetry.A("id", exp.ID))
 				// Seeded by slot so a plane's ids depend on the input
 				// order, never on which worker picked the job up.
 				wire := wiretrace.New(r.WireMode, int64(1000+j.idx))
 				res, err := runOne(exp, tel, wire, r.Transport)
 				if res != nil {
 					res.WallElapsed = time.Since(start)
-					root.EndAt(res.VirtualElapsed)
-				} else {
-					root.EndAt(0)
 				}
-				out[j.idx] = RunnerResult{ID: exp.ID, Result: res, Err: err, Trace: tel.Tracer(), Wire: wire}
+				out[j.idx] = RunnerResult{ID: exp.ID, Result: res, Err: err, Wire: wire}
 			}
 		}()
 	}

@@ -157,12 +157,10 @@ func runODoHScenario(ctx Ctx, parallel int) (*ledger.Ledger, error) {
 	origin.Wire = ctx.Wire
 	keyID, pub := target.KeyConfig()
 
-	phase := tel.Start("phase:odoh")
-	defer phase.End()
+	defer tel.Phase("odoh")()
 	err = forEachClient(parallel, auditDNSClients, func(i int) error {
 		who := fmt.Sprintf("client-%d", i)
 		c := odoh.NewClient(who, keyID, pub)
-		c.Instrument(tel)
 		c.InstrumentWire(ctx.Wire)
 		_, err := c.Query(auditDNSNames[i%len(auditDNSNames)], dnswire.TypeA, proxy.Forward)
 		return err
@@ -191,8 +189,7 @@ func runODNSScenario(ctx Ctx, parallel int) (*ledger.Ledger, error) {
 	oblivious.InstrumentWire(ctx.Wire)
 	recursive.Wire = ctx.Wire
 
-	phase := tel.Start("phase:odns")
-	defer phase.End()
+	defer tel.Phase("odns")()
 	err = forEachClient(parallel, auditDNSClients, func(i int) error {
 		who := fmt.Sprintf("client-%d", i)
 		c := odns.NewClient(who, oblivious.PublicKey(), recursive)
@@ -234,11 +231,9 @@ func runMixnetScenario(ctx Ctx, _ int) (*ledger.Ledger, error) {
 	if err != nil {
 		return nil, err
 	}
-	rcv.Instrument(tel)
 	rcv.InstrumentWire(ctx.Wire)
 
-	phase := tel.Start("phase:forward")
-	defer phase.End()
+	defer tel.Phase("forward")()
 	for i := 0; i < 8; i++ {
 		sender := fmt.Sprintf("sender%02d", i)
 		msg := fmt.Sprintf("private message %02d", i)
@@ -325,12 +320,10 @@ func odohFaultsRun(ctx Ctx, parallel, clients int, plan *simnet.FaultPlan, failO
 		direct = dns.NewResolver(odoh.ProxyName, []dns.Authority{origin}, lg, nil)
 	}
 
-	phase := tel.Start("phase:odoh-faults")
-	defer phase.End()
+	defer tel.Phase("odoh-faults")()
 	err = forEachClient(parallel, clients, func(i int) error {
 		who := fmt.Sprintf("client-%d", i)
 		c := odoh.NewClient(who, keyID, pub)
-		c.Instrument(tel)
 		attempt := 0 // per-client, so parallel clients share nothing
 		rc := &odoh.ResilientClient{
 			Client: c, Policy: resilience.Default("odoh"),
@@ -395,8 +388,7 @@ func odnsFaultsRun(ctx Ctx, clients int, plan *simnet.FaultPlan) (*ledger.Ledger
 	gated := &gatedAuthority{inner: oblivious, plan: plan}
 	recursive := dns.NewResolver("Resolver", []dns.Authority{gated, origin}, lg, nil)
 
-	phase := tel.Start("phase:odns-faults")
-	defer phase.End()
+	defer tel.Phase("odns-faults")()
 	for i := 0; i < clients; i++ {
 		who := fmt.Sprintf("client-%d", i)
 		c := odns.NewClient(who, oblivious.PublicKey(), recursive)
@@ -466,11 +458,9 @@ func mixnetFaultsRun(ctx Ctx, senders int, plan *simnet.FaultPlan, strict bool) 
 	if err != nil {
 		return nil, err
 	}
-	rcv.Instrument(tel)
 	net.ApplyFaults(plan)
 
-	phase := tel.Start("phase:forward-faults")
-	defer phase.End()
+	defer tel.Phase("forward-faults")()
 	p := resilience.Default("mixnet")
 	p.Timeout = 80 * time.Millisecond
 	for i := 0; i < senders; i++ {

@@ -14,7 +14,6 @@ import (
 	"decoupling/internal/onion"
 	"decoupling/internal/ppm"
 	"decoupling/internal/simnet"
-	"decoupling/internal/telemetry"
 	"decoupling/internal/workload"
 )
 
@@ -96,8 +95,7 @@ func E10Degrees(ctx Ctx) (*Result, error) {
 // ledger structure). It also reports the virtual time the run consumed.
 func onionRun(ctx Ctx, hops int) (time.Duration, int, time.Duration, error) {
 	tel := ctx.Tel
-	phase := tel.Start("phase:hops", telemetry.A("hops", telemetry.Itoa(hops)))
-	defer phase.End()
+	defer tel.Phase("hops")()
 	cls := ledger.NewClassifier()
 	lg := ledger.NewRetaining(cls, nil)
 	lg.Instrument(tel)
@@ -169,7 +167,7 @@ func E11Striping(ctx Ctx) (*Result, error) {
 	}
 	prevAvg := 2.0
 	for _, k := range []int{1, 2, 4, 8} {
-		phase := tel.Start("phase:stripe", telemetry.A("k", telemetry.Itoa(k)))
+		endPhase := tel.Phase("stripe")
 		zone := dns.NewZone("test")
 		var allNames []string
 		for i := 0; i < nameCount; i++ {
@@ -239,7 +237,7 @@ func E11Striping(ctx Ctx) (*Result, error) {
 			r.Diffs = append(r.Diffs, fmt.Sprintf("profile completeness did not fall at k=%d (%.3f >= %.3f)", k, avg, prevAvg))
 		}
 		prevAvg = avg
-		phase.End()
+		endPhase()
 	}
 	r.Tables = append(r.Tables, table)
 	r.Notes = append(r.Notes, "k=1 is the single-resolver baseline: the operator sees the complete profile")
@@ -392,8 +390,7 @@ func disclosureRun(cover bool) (topReceiver string, topScore float64) {
 // given batch threshold and runs the rank-order timing attack.
 func mixTimingRun(ctx Ctx, batch, senders int, padded bool) (accuracy float64, meanLatency time.Duration, elapsed time.Duration, err error) {
 	tel := ctx.Tel
-	phase := tel.Start("phase:batch", telemetry.A("threshold", telemetry.Itoa(batch)))
-	defer phase.End()
+	defer tel.Phase("batch")()
 	net := ctx.NewNet(int64(batch) + 100)
 	net.Instrument(tel)
 	m, err := mixnet.NewMix(net, "Mix 1", "mix1", batch, 0, nil)
@@ -405,7 +402,6 @@ func mixTimingRun(ctx Ctx, batch, senders int, padded bool) (accuracy float64, m
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	rcv.Instrument(tel)
 	route := []mixnet.NodeInfo{m.Info()}
 	var entries []adversary.Event
 	var sendTimes []time.Duration
@@ -448,8 +444,7 @@ func mixTimingRun(ctx Ctx, batch, senders int, padded bool) (accuracy float64, m
 // and mounts the rank-order size attack on the global capture.
 func mixSizeRun(ctx Ctx, senders int, padded bool) (accuracy float64, firstHopBytes int, err error) {
 	tel := ctx.Tel
-	phase := tel.Start("phase:padding", telemetry.A("padded", fmt.Sprint(padded)))
-	defer phase.End()
+	defer tel.Phase("padding")()
 	net := ctx.NewNet(7)
 	net.Instrument(tel)
 	m, err := mixnet.NewMix(net, "Mix 1", "mix1", senders, 0, nil)
@@ -461,7 +456,6 @@ func mixSizeRun(ctx Ctx, senders int, padded bool) (accuracy float64, firstHopBy
 	if err != nil {
 		return 0, 0, err
 	}
-	rcv.Instrument(tel)
 	route := []mixnet.NodeInfo{m.Info()}
 	for i := 0; i < senders; i++ {
 		who := fmt.Sprintf("s%02d", i)
@@ -508,8 +502,7 @@ func mixSizeRun(ctx Ctx, senders int, padded bool) (accuracy float64, firstHopBy
 // chaff cells through a 3-hop circuit.
 func onionChaffRun(ctx Ctx, rate int) (cells int, err error) {
 	tel := ctx.Tel
-	phase := tel.Start("phase:chaff", telemetry.A("rate", telemetry.Itoa(rate)))
-	defer phase.End()
+	defer tel.Phase("chaff")()
 	net := ctx.NewNet(int64(rate) + 5)
 	net.Instrument(tel)
 	var infos []onion.RelayInfo

@@ -95,9 +95,8 @@ func E2Mixnet(ctx Ctx) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	rcv.Instrument(tel)
 	rcv.InstrumentWire(ctx.Wire)
-	phase := tel.Start("phase:forward")
+	endPhase := tel.Phase("forward")
 	for i := 0; i < 64; i++ {
 		sender := fmt.Sprintf("sender%02d", i)
 		msg := fmt.Sprintf("private message %02d", i)
@@ -109,7 +108,7 @@ func E2Mixnet(ctx Ctx) (*Result, error) {
 		}
 	}
 	net.Run()
-	phase.End()
+	endPhase()
 	if got := len(rcv.Inbox()); got != 64 {
 		return nil, fmt.Errorf("E2: delivered %d of 64 messages", got)
 	}
@@ -117,7 +116,7 @@ func E2Mixnet(ctx Ctx) (*Result, error) {
 	// The other half of Chaum's 1981 design: untraceable return
 	// addresses. A sender pre-builds a reply block; the receiver answers
 	// through it without learning who they answered.
-	phase = tel.Start("phase:reply")
+	endPhase = tel.Phase("reply")
 	collector := mixnet.NewReplyCollector(net, "sender00")
 	replyAddr, replyKeys, err := mixnet.BuildReplyBlock(route, collector.Addr)
 	if err != nil {
@@ -134,7 +133,7 @@ func E2Mixnet(ctx Ctx) (*Result, error) {
 		}
 	}
 	net.Run()
-	phase.End()
+	endPhase()
 	r.VirtualElapsed = net.Now()
 	replies := collector.Inbox()
 	if len(replies) != 1 || string(replyKeys.Decrypt(replies[0].Body)) != "reply via return address" {

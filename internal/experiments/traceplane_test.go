@@ -213,3 +213,42 @@ func TestTracePlaneNaiveLeakShape(t *testing.T) {
 		t.Errorf("leaked subject %q is not a sender", first.Subject)
 	}
 }
+
+// TestTracePlaneConcurrentParenting runs the ODoH audit scenario with 8
+// concurrent clients on a rotate plane. Parent links travel with each
+// request's bytes, not through shared state, so every proxy span must
+// hang off the root of the client it names and every target span off
+// a proxy span, however the clients interleave.
+func TestTracePlaneConcurrentParenting(t *testing.T) {
+	scenario, _ := FindAuditScenario("odoh")
+	for seed := int64(1); seed <= 3; seed++ {
+		plane := wiretrace.New(wiretrace.ModeRotate, seed)
+		if _, err := scenario.Run(Ctx{Wire: plane}, 8); err != nil {
+			t.Fatalf("run: %v", err)
+		}
+		spans := map[wiretrace.SpanID]*wiretrace.Span{}
+		for _, st := range plane.Stores() {
+			for _, sp := range st.Spans() {
+				spans[sp.ID] = sp
+			}
+		}
+		forwards := 0
+		for _, sp := range spans {
+			parent := spans[sp.Parent]
+			switch sp.Name {
+			case "odoh.proxy.forward":
+				forwards++
+				if parent == nil || parent.Name != "odoh.client.query" || parent.Src != sp.Src {
+					t.Errorf("seed %d: proxy span from %s has parent %+v, want the root of that client", seed, sp.Src, parent)
+				}
+			case "odoh.target.handle":
+				if parent == nil || parent.Name != "odoh.proxy.forward" {
+					t.Errorf("seed %d: target span has parent %+v, want a proxy span", seed, parent)
+				}
+			}
+		}
+		if forwards != auditDNSClients {
+			t.Errorf("seed %d: %d proxy spans, want %d", seed, forwards, auditDNSClients)
+		}
+	}
+}

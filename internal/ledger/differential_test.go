@@ -190,12 +190,12 @@ func FuzzLedgerMatchesReference(f *testing.F) {
 		lg, fold := NewRetaining(cls, clock), New(cls, clock)
 		var tel *telemetry.Telemetry
 		if rng.Intn(2) == 0 {
-			tel = telemetry.New("diff", true, nil)
+			tel = telemetry.New(nil)
 			lg.Instrument(tel)
 			fold.Instrument(tel)
 		}
 		ref := &refLedger{}
-		var phase *telemetry.Span
+		var endPhase func()
 
 		entry := func() Entry {
 			e := Entry{Kind: core.Kind(rng.Intn(2))}
@@ -253,11 +253,11 @@ func FuzzLedgerMatchesReference(f *testing.F) {
 			case op == 8:
 				register()
 			case tel != nil:
-				if phase == nil {
-					phase = tel.Start(fmt.Sprintf("phase:p%d", step))
+				if endPhase == nil {
+					endPhase = tel.Phase(fmt.Sprintf("p%d", step))
 				} else {
-					phase.End()
-					phase = nil
+					endPhase()
+					endPhase = nil
 				}
 			}
 		}

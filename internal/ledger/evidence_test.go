@@ -147,16 +147,15 @@ func TestObservationRecognizedAndPhase(t *testing.T) {
 	cls.RegisterIdentity("alice", "alice", "", core.Sensitive)
 	cls.RegisterIdentity("relay", "", "", core.NonSensitive)
 	lg := NewRetaining(cls, nil)
-	tel := telemetry.New("phase-test", true, nil)
+	tel := telemetry.New(nil)
 	lg.Instrument(tel)
 
 	lg.SawIdentity("ent", "alice")
-	phase := tel.Start("phase:handshake")
+	endHandshake := tel.Phase("handshake")
 	lg.SawIdentity("ent", "relay")
-	inner := tel.Start("work") // non-phase child must not mask the phase
+	tel.Phase("work")() // an ended inner phase must not mask the outer one
 	lg.SawData("ent", "ciphertext:abc")
-	inner.End()
-	phase.End()
+	endHandshake()
 	lg.SawData("ent", "late")
 
 	obs := lg.ByObserver("ent")

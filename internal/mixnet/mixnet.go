@@ -200,9 +200,7 @@ func (m *Mix) Info() NodeInfo { return NodeInfo{Addr: m.Addr, PubKey: m.kp.Publi
 // Stats reports flush and drop counts.
 func (m *Mix) Stats() (flushes, dropped int) { return m.flushes, m.dropped }
 
-// Instrument attaches a telemetry sink: layer-strips and batch flushes
-// become spans (nested under the simulator's delivery span for the
-// triggering message) and flush sizes feed a histogram.
+// Instrument attaches a telemetry sink: flush sizes feed a histogram.
 func (m *Mix) Instrument(tel *telemetry.Telemetry) { m.tel = tel }
 
 // InstrumentWire attaches a wire-trace plane: each handled message
@@ -228,8 +226,6 @@ func (m *Mix) handle(net simnet.Transport, msg simnet.Message) {
 }
 
 func (m *Mix) handleOnion(net simnet.Transport, msg simnet.Message) {
-	sp := m.tel.Start("mixnet.mix.in", telemetry.A("mix", m.Name))
-	defer sp.End()
 	hop := m.wire.Hop(m.Name, "mixnet.hop", msg.Trace, string(msg.Src), "")
 	defer hop.End()
 	inHandle := ledger.Hash(msg.Payload[1:])
@@ -280,9 +276,6 @@ func (m *Mix) flush(net simnet.Transport) {
 	}
 	q := m.queue
 	m.queue = nil
-	sp := m.tel.Start("mixnet.mix.flush",
-		telemetry.A("mix", m.Name), telemetry.A("batch", telemetry.Itoa(len(q))))
-	defer sp.End()
 	m.tel.Observe(telemetry.MetricMixBatchSize, "Messages per mix batch flush.",
 		telemetry.BatchBuckets, float64(len(q)), telemetry.A("mix", m.Name))
 	for i := len(q) - 1; i > 0; i-- {
@@ -311,7 +304,6 @@ type Receiver struct {
 	Addr simnet.Addr
 	kp   *hpke.KeyPair
 	lg   *ledger.Ledger
-	tel  *telemetry.Telemetry
 	wire *wiretrace.Plane
 	// Padded indicates senders pad messages; the receiver then strips
 	// the length-prefixed padding.
@@ -340,17 +332,11 @@ func NewReceiver(net simnet.Transport, name string, addr simnet.Addr, padded boo
 // Info returns the receiver's routing descriptor.
 func (r *Receiver) Info() NodeInfo { return NodeInfo{Addr: r.Addr, PubKey: r.kp.PublicKey()} }
 
-// Instrument attaches a telemetry sink: each final delivery (the last
-// link of the chain) opens a span under the simulator's delivery span.
-func (r *Receiver) Instrument(tel *telemetry.Telemetry) { r.tel = tel }
-
 // InstrumentWire attaches a wire-trace plane: final deliveries open a
 // terminal span mirroring the receiver's ledger observations. Nil-safe.
 func (r *Receiver) InstrumentWire(p *wiretrace.Plane) { r.wire = p }
 
 func (r *Receiver) handle(net simnet.Transport, msg simnet.Message) {
-	sp := r.tel.Start("mixnet.receiver.open", telemetry.A("receiver", r.Name))
-	defer sp.End()
 	hop := r.wire.Hop(r.Name, "mixnet.deliver", msg.Trace, string(msg.Src), "")
 	defer hop.End()
 	if len(msg.Payload) < 1 || msg.Payload[0] != tagOnion {
@@ -430,7 +416,7 @@ func (s *Sender) Send(net simnet.Transport, route []NodeInfo, receiver NodeInfo,
 	if err != nil {
 		return err
 	}
-	root := s.Wire.Root(string(s.Addr), "mixnet.send", string(s.Addr), string(route[0].Addr))
+	root := s.Wire.Root(wiretrace.ClientVantage, "mixnet.send", string(s.Addr), string(route[0].Addr))
 	defer root.End()
 	return transport.SendWithContext(net, s.Addr, route[0].Addr, append([]byte{tagOnion}, onion...), root.Context())
 }

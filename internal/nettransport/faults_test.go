@@ -236,7 +236,7 @@ func TestInjectedLossMatchesLossDraw(t *testing.T) {
 func TestInjectedLossLabeledApartFromOrganic(t *testing.T) {
 	net := newTest(t, Options{Mode: ModeTCP, Seed: 1})
 	reg := telemetry.NewMetrics()
-	tel := telemetry.New("nettransport-faults", false, reg)
+	tel := telemetry.New(reg)
 	net.Instrument(tel)
 	var s countSink
 	net.Register("srv", s.handle)

@@ -208,7 +208,7 @@ func TestRegisterReplacesHandler(t *testing.T) {
 
 func TestCaptureAndTelemetry(t *testing.T) {
 	net := newTest(t, Options{})
-	tel := telemetry.New("nettransport-test", false, telemetry.NewMetrics())
+	tel := telemetry.New(telemetry.NewMetrics())
 	net.Instrument(tel)
 	var s sink
 	net.Register("sink", s.handle)
@@ -236,7 +236,7 @@ func TestCaptureAndTelemetry(t *testing.T) {
 func TestLiveInstrumentation(t *testing.T) {
 	net := newTest(t, Options{})
 	m := telemetry.NewMetrics()
-	tel := telemetry.New("nettransport-live", false, m)
+	tel := telemetry.New(m)
 	net.Instrument(tel)
 	var s sink
 	net.Register("sink", s.handle)

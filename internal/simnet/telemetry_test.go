@@ -2,20 +2,19 @@ package simnet
 
 import (
 	"bytes"
+	"strings"
 	"testing"
-	"time"
 
 	"decoupling/internal/telemetry"
 )
 
 // TestInstrumentedDelivery checks the simulator's telemetry contract:
-// each delivery becomes a span stamped with virtual send/receive times,
-// a relayed message nests under the hop that triggered it, and the
-// link counters/histogram fill in.
+// each delivery feeds the link counters and the virtual latency
+// histogram, measured from the virtual send time.
 func TestInstrumentedDelivery(t *testing.T) {
 	n := New(1)
 	m := telemetry.NewMetrics()
-	tel := telemetry.New("T", true, m)
+	tel := telemetry.New(m)
 	n.Instrument(tel)
 
 	// b relays everything it receives to c: a → b → c is a 2-hop chain.
@@ -32,35 +31,20 @@ func TestInstrumentedDelivery(t *testing.T) {
 		t.Fatalf("delivered = %d, want 2", delivered)
 	}
 
+	// Default link: 10ms per hop, and the second hop is sent only when
+	// the first is delivered — each link's latency histogram holds one
+	// 10ms observation.
 	var buf bytes.Buffer
-	if err := tel.Tracer().WriteJSONL(&buf); err != nil {
+	if err := m.WriteProm(&buf); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := telemetry.ParseJSONL(&buf)
-	if err != nil {
-		t.Fatalf("trace fails strict parse: %v", err)
-	}
-	if len(recs) != 2 {
-		t.Fatalf("got %d spans, want 2 deliveries", len(recs))
-	}
-	first, second := recs[0], recs[1]
-	if first.Name != "simnet.deliver" || first.Attrs["src"] != "a" || first.Attrs["dst"] != "b" {
-		t.Errorf("first hop span wrong: %+v", first)
-	}
-	if first.Parent != 0 {
-		t.Errorf("first hop parent = %d, want root", first.Parent)
-	}
-	if second.Parent != first.Span {
-		t.Errorf("relayed hop parent = %d, want %d (must nest under the inbound hop)",
-			second.Parent, first.Span)
-	}
-	// Default link: 10ms per hop. First hop sent at 0, delivered at
-	// 10ms; second sent at 10ms, delivered at 20ms.
-	if first.StartNS != 0 || first.EndNS != int64(10*time.Millisecond) {
-		t.Errorf("first hop times = %d..%d", first.StartNS, first.EndNS)
-	}
-	if second.StartNS != int64(10*time.Millisecond) || second.EndNS != int64(20*time.Millisecond) {
-		t.Errorf("second hop times = %d..%d", second.StartNS, second.EndNS)
+	for _, want := range []string{
+		telemetry.MetricSimnetLatency + `_sum{dst="b",src="a"} 0.01`,
+		telemetry.MetricSimnetLatency + `_sum{dst="c",src="b"} 0.01`,
+	} {
+		if !strings.Contains(buf.String(), want+"\n") {
+			t.Errorf("exposition missing %q:\n%s", want, buf.String())
+		}
 	}
 
 	total := 0.0
@@ -78,11 +62,11 @@ func TestInstrumentedDelivery(t *testing.T) {
 }
 
 // TestInstrumentedLoss checks dropped datagrams feed the lost counter
-// and produce no delivery span.
+// and no delivery counter.
 func TestInstrumentedLoss(t *testing.T) {
 	n := New(1)
 	m := telemetry.NewMetrics()
-	tel := telemetry.New("T", true, m)
+	tel := telemetry.New(m)
 	n.Instrument(tel)
 	n.Register("b", func(Transport, Message) {})
 	n.SetLink("a", "b", Link{Loss: 1})
@@ -98,8 +82,8 @@ func TestInstrumentedLoss(t *testing.T) {
 	if len(lost) != 1 || lost[0].Value != 5 {
 		t.Errorf("lost counter = %+v, want one series at 5", lost)
 	}
-	if n := tel.Tracer().Len(); n != 0 {
-		t.Errorf("dropped datagrams produced %d spans", n)
+	if got := m.CounterSeries(telemetry.MetricSimnetMessages); len(got) != 0 {
+		t.Errorf("dropped datagrams counted as delivered: %+v", got)
 	}
 }
 
@@ -126,7 +110,7 @@ func BenchmarkDeliveryUninstrumented(b *testing.B) {
 }
 
 func BenchmarkDeliveryInstrumented(b *testing.B) {
-	benchDelivery(b, telemetry.New("bench", true, telemetry.NewMetrics()))
+	benchDelivery(b, telemetry.New(telemetry.NewMetrics()))
 }
 
 func benchDelivery(b *testing.B, tel *telemetry.Telemetry) {

@@ -3,7 +3,7 @@ package telemetry
 // Sampler is the time-series half of the live observability plane: a
 // periodic wall-clock snapshot of run health (tracked variables plus
 // goroutine count, heap, and GC pauses) appended as one JSON object
-// per line. Where the tracer answers "what happened, in what order"
+// per line. Where the trace plane answers "what happened, in what order"
 // after a deterministic run, the sampler answers "what is happening
 // right now" during a live one — a 10^6-client loadgen run stops being
 // a black box between start and exit.
@@ -207,4 +207,12 @@ func ParseSamples(r io.Reader) ([]SampleRecord, error) {
 		return nil, err
 	}
 	return out, nil
+}
+
+func jsonString(s string) []byte {
+	b, err := json.Marshal(s)
+	if err != nil { // strings always marshal
+		panic(err)
+	}
+	return b
 }
